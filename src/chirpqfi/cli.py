@@ -42,6 +42,14 @@ from .pulses import PulseSpec, default_grid, pulse_from_config, pulse_to_config,
 
 MODES = ("asymptotic", "finite_time", "mode_cfi", "closed_form")
 SWEEPABLE = ("gamma_t", "alpha", "k", "omega", "gamma", "delta")
+_SPECTRAL_HEADER = ("gamma_t", "gamma", "delta", "classical", "quantum", "total", "p_loss")
+# column header of each mode's table, shared by run_scenario and run_sweep
+HEADERS = {
+    "asymptotic": _SPECTRAL_HEADER,
+    "closed_form": _SPECTRAL_HEADER,
+    "finite_time": ("t", "classical", "quantum", "total", "p_loss"),
+    "mode_cfi": ("j", "mode_cfi", "qfi", "ratio", "conditional_cumulative_ratio"),
+}
 
 
 @dataclass(frozen=True)
@@ -175,15 +183,13 @@ def run_scenario(sc: Scenario):
     if sc.mode in ("asymptotic", "closed_form"):
         bd = asymptotic_qfi(sc.pulse, sc.params) if sc.mode == "asymptotic" \
             else _closed_form_breakdown(sc)
-        header = ["gamma_t", "gamma", "delta", "classical", "quantum", "total", "p_loss"]
         rows = [[sc.pulse.gamma_t, sc.params.gamma, sc.params.delta,
                  bd.classical, bd.quantum, bd.total, bd.p_loss]]
-        return header, rows
+        return list(HEADERS[sc.mode]), rows
     if sc.mode == "finite_time":
         grid = default_grid(sc.pulse, tail=max(60.0, sc.t_stop + 5.0))
         pulse = sample_pulse(sc.pulse, grid)
         curve = finite_time_curve(pulse, sc.params)
-        header = ["t", "classical", "quantum", "total", "p_loss"]
         rows = []
         for t in np.linspace(sc.t_start, sc.t_stop, sc.t_count):
             # snap to the nearest node; the emitted t is the node actually used
@@ -191,7 +197,7 @@ def run_scenario(sc: Scenario):
             i = min(max(i, 0), grid.n_points - 1)
             rows.append([grid.t_start + i * grid.dt, curve.classical[i],
                          curve.quantum[i], curve.total[i], curve.p_loss[i]])
-        return header, rows
+        return list(HEADERS[sc.mode]), rows
     # mode_cfi: information ratio of mode-resolved photon counting vs truncation
     kind = HermiteGauss(sc.pulse.gamma_t) if sc.basis == "hg" else GramSchmidtFromEnvelope(sc.pulse)
     grid = modal_grid(sc.pulse, sc.j_max, kind)
@@ -208,13 +214,12 @@ def run_scenario(sc: Scenario):
     cond_dp = 2.0 * np.real(np.conj(b) * d) / surv + np.abs(b) ** 2 * dp / surv**2
     cond_terms = np.where(cond_p > 1e-14, cond_dp**2 / np.where(cond_p > 1e-14, cond_p, 1.0), 0.0)
     cond_cum = np.cumsum(cond_terms)
-    header = ["j", "mode_cfi", "qfi", "ratio", "conditional_cumulative_ratio"]
     rows = []
     for j in range(sc.j_max + 1):
         probs, derivs = outcome_distribution(modal, j)
         cfi = mode_cfi(probs, derivs)
         rows.append([j, cfi, qfi, cfi / qfi, cond_cum[j] / qfi])
-    return header, rows
+    return list(HEADERS[sc.mode]), rows
 
 
 def _format(value) -> str:
@@ -283,7 +288,7 @@ def run_sweep(sweep: SweepSpec, threads: int = None):
         futures = {pool.submit(evaluate, vals): i for i, vals in points}
         for fut in concurrent.futures.as_completed(futures):
             results[futures[fut]] = fut.result()
-    base_header, _ = run_scenario(sweep.template)
+    base_header = HEADERS[sweep.template.mode]
     header = list(names) + [c for c in base_header if c not in names]
     keep = [i for i, c in enumerate(base_header) if c not in names]
     rows = [list(vals) + [results[i][k] for k in keep] for i, vals in points]

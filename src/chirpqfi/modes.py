@@ -26,7 +26,7 @@ from .errors import (
     ZeroInformation,
 )
 from .dynamics import AmplitudePair, OutgoingWavepacket
-from .numerics import Grid, inner_product, norm_sq
+from .numerics import _NODE_BLOCK, Grid, _weighted_gram, inner_product, norm_sq
 from .pulses import PulseSpec, _oscillation_factor, sample_pulse
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
 
 PROB_FLOOR = 1e-14
 DERIV_FLOOR = 1e-12
+PIVOT_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,15 +84,9 @@ class ModeBasis:
         return self.functions.shape[0]
 
     def gram_defect(self) -> float:
-        dx = self.grid.dt
-        n = self.size
-        worst = 0.0
-        for i in range(n):
-            for j in range(i, n):
-                val = inner_product(self.functions[i], self.functions[j], dx,
-                                    self.jumps[i], self.jumps[j])
-                worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
-        return worst
+        """max |<g_i|g_j> - delta_ij| over the basis."""
+        gram = _weighted_gram(self.functions, self.functions, self.grid.dt, self.jumps, self.jumps)
+        return float(np.max(np.abs(gram - np.eye(self.size))))
 
 
 @dataclass(frozen=True)
@@ -113,10 +108,13 @@ class ModalSet:
 
 
 def _hermite_gauss_functions(t: np.ndarray, duration: float, count: int) -> np.ndarray:
-    """Orthonormal Hermite-Gauss functions via the stable two-term recurrence."""
+    """Orthonormal Hermite-Gauss functions via the stable two-term recurrence.
+
+    Returned as a complex array so that callers can apply phases in place.
+    """
     x = t / (math.sqrt(2.0) * duration)
     scale = (math.sqrt(2.0) * duration) ** -0.5
-    out = np.empty((count, len(t)))
+    out = np.empty((count, len(t)), dtype=complex)
     prev = np.zeros_like(x)
     cur = math.pi ** -0.25 * np.exp(-0.5 * x**2)
     for n in range(count):
@@ -127,10 +125,11 @@ def _hermite_gauss_functions(t: np.ndarray, duration: float, count: int) -> np.n
 
 
 def _laguerre_functions(t: np.ndarray, duration: float, count: int) -> np.ndarray:
-    """Orthonormal Laguerre functions L_n(t/T) e^{-t/2T} / sqrt(T) on t >= 0."""
+    """Orthonormal Laguerre functions L_n(t/T) e^{-t/2T} / sqrt(T) on t >= 0,
+    as a complex array."""
     x = np.clip(t / duration, 0.0, None)
     damp = np.where(t >= 0.0, np.exp(-0.5 * x) / math.sqrt(duration), 0.0)
-    out = np.empty((count, len(t)))
+    out = np.empty((count, len(t)), dtype=complex)
     prev = np.zeros_like(x)
     cur = np.ones_like(x)
     for n in range(count):
@@ -165,22 +164,51 @@ def modal_grid(spec: PulseSpec, truncation: int, kind=None, tail: float = 60.0) 
     return Grid(-n_left * dt, n_right * dt, n_left + n_right + 1)
 
 
+def _failed_pivot(gram: np.ndarray) -> int:
+    """Pivot at which the Cholesky factorization of gram, known to fail, breaks down."""
+    for k in range(1, len(gram)):
+        try:
+            np.linalg.cholesky(gram[:k, :k])
+        except np.linalg.LinAlgError:
+            return k - 1
+    return len(gram) - 1
+
+
 def _orthonormalize(funcs: np.ndarray, jumps: np.ndarray, dx: float) -> tuple:
-    """Modified Gram-Schmidt with one re-orthogonalization pass."""
-    funcs = funcs.astype(complex)
-    jumps = jumps.astype(complex)
-    for i in range(funcs.shape[0]):
-        v, jv = funcs[i], jumps[i]
-        for _ in range(2):
-            for k in range(i):
-                c = inner_product(funcs[k], v, dx, jumps[k], jv)
-                v = v - c * funcs[k]
-                jv = jv - c * jumps[k]
-        nrm = math.sqrt(norm_sq(v, dx, jv))
-        if nrm < 1e-10:
-            raise DegenerateSeed(f"pivot {i} collapsed to norm {nrm:.2e}")
-        funcs[i] = v / nrm
-        jumps[i] = jv / nrm
+    """CholeskyQR2 in the trapezoidal inner product; works in place.
+
+    funcs (complex, one candidate per row) and jumps are overwritten with
+    the orthonormal functions and their jumps, which are also returned.
+    Each of the two passes factors the Gram matrix as L L^H and replaces
+    the rows by L^-1 times them; the result is the Gram-Schmidt basis of
+    the candidates in their order.  The second pass removes the rounding
+    left by the first, which suffices while cond(funcs) stays below about
+    1e8 (the inverse square root of the unit roundoff).
+
+    Raises:
+        DegenerateSeed: if the factorization fails or a pivot |L_ii| falls
+            below 1e-6 times the norm of candidate i.
+    """
+    for _ in range(2):
+        # the transposed Gram matrix conj(<f_i|f_j>) = <f_j|f_i> factors so
+        # that L^-1 acts on the rows without conjugation
+        gram = _weighted_gram(funcs, funcs, dx, jumps, jumps).T
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            raise DegenerateSeed(f"pivot {_failed_pivot(gram)} is not positive: "
+                                 f"the candidates are linearly dependent") from None
+        pivots = np.abs(np.diag(factor))
+        norms = np.sqrt(np.abs(np.diag(gram)))
+        small = pivots < PIVOT_FLOOR * norms
+        if np.any(small):
+            i = int(np.argmax(small))
+            raise DegenerateSeed(f"pivot {i} is {pivots[i]:.2e}, below {PIVOT_FLOOR:.0e} "
+                                 f"times its candidate norm {norms[i]:.2e}")
+        transform = np.linalg.inv(factor)
+        for s in range(0, funcs.shape[1], _NODE_BLOCK):
+            funcs[:, s:s + _NODE_BLOCK] = transform @ funcs[:, s:s + _NODE_BLOCK]
+        jumps[:] = transform @ jumps
     return funcs, jumps
 
 
@@ -206,7 +234,7 @@ def build_basis(kind, truncation: int, grid: Grid) -> ModeBasis:
         node_spacing = math.sqrt(2.0) * kind.duration * math.pi / math.sqrt(2.0 * truncation + 1.0)
         if grid.dt > node_spacing / 10.0:
             raise GridTooNarrow(f"dt={grid.dt} too coarse for mode {truncation}")
-        funcs = _hermite_gauss_functions(t, kind.duration, count).astype(complex)
+        funcs = _hermite_gauss_functions(t, kind.duration, count)
         jumps = np.zeros(count, dtype=complex)
     elif isinstance(kind, GramSchmidtFromEnvelope):
         spec = kind.spec
@@ -216,15 +244,16 @@ def build_basis(kind, truncation: int, grid: Grid) -> ModeBasis:
             node_spacing = math.sqrt(2.0) * spec.gamma_t * math.pi / math.sqrt(2.0 * truncation + 1.0)
             if grid.dt > node_spacing / 10.0:
                 raise GridTooNarrow(f"dt={grid.dt} too coarse for mode {truncation}")
-            funcs = _hermite_gauss_functions(t, spec.gamma_t, count) * phase
+            funcs = _hermite_gauss_functions(t, spec.gamma_t, count)
+            funcs *= phase
             jumps = np.zeros(count, dtype=complex)
         else:
-            funcs = _laguerre_functions(t, spec.gamma_t, count) * phase
+            funcs = _laguerre_functions(t, spec.gamma_t, count)
+            funcs *= phase
             onset_index = seed.onset_index
             # midpoint convention at the step, matching the sampled pulse
             jumps = spec.gamma_t ** -0.5 * phase[onset_index] * np.ones(count, dtype=complex)
             funcs[:, onset_index] = 0.5 * jumps
-        funcs = funcs.astype(complex)
         funcs[0] = seed.values
         jumps[0] = seed.jump
     else:
@@ -243,10 +272,8 @@ def project_amplitudes(outgoing: OutgoingWavepacket, basis: ModeBasis) -> ModalS
     if basis.grid != outgoing.grid:
         raise GridMismatch("basis and wavepacket live on different grids")
     dx = outgoing.grid.dt
-    b = np.array([inner_product(g, outgoing.values, dx, jg, outgoing.jump)
-                  for g, jg in zip(basis.functions, basis.jumps)])
-    d = np.array([inner_product(g, outgoing.d_values, dx, jg, 0.0)
-                  for g, jg in zip(basis.functions, basis.jumps)])
+    b = _weighted_gram(basis.functions, outgoing.values, dx, basis.jumps, outgoing.jump)
+    d = _weighted_gram(basis.functions, outgoing.d_values, dx, basis.jumps, 0.0)
     nn = norm_sq(outgoing.values, dx, outgoing.jump)
     dp = -2.0 * inner_product(outgoing.values, outgoing.d_values, dx, outgoing.jump, 0.0).real
     return ModalSet(b, d, AmplitudePair(1.0 - nn, dp))
@@ -327,6 +354,20 @@ class _StateCoordinates:
         j_dpsi = self.jump_state * dp / (2.0 * nn**1.5)
         return psi, dpsi, j_psi, j_dpsi, p, dp
 
+    def four_outcome_cfi(self, p, dp, projectors) -> float:
+        """Fisher information of {vacuum, v1, v2, remainder} for two
+        orthonormal (vector, jump) pairs v1, v2 and vacuum outcome (p, dp)."""
+        probs = [p]
+        derivs = [dp]
+        for v, jv in projectors:
+            amp = self.inner(v, self.state, jv, self.jump_state)
+            damp = self.inner(v, self.d_state, jv, 0.0)
+            probs.append(abs(amp) ** 2)
+            derivs.append(2.0 * np.real(np.conj(amp) * damp))
+        probs.append(max(1.0 - sum(probs), 0.0))
+        derivs.append(-sum(derivs))
+        return mode_cfi(np.array(probs), np.array(derivs))
+
 
 def optimal_two_outcome_povm(source, qfi: float, overlap_tol: float = 1e-6):
     """Noise-robust two-outcome measurement for overlap-free pulse families.
@@ -354,16 +395,8 @@ def optimal_two_outcome_povm(source, qfi: float, overlap_tol: float = 1e-6):
     phi_minus = (1.0 - 1j) * (0.5 * psi - dpsi / root)
     j_plus = (1.0 + 1j) * (0.5 * j_psi + j_dpsi / root)
     j_minus = (1.0 - 1j) * (0.5 * j_psi - j_dpsi / root)
-    probs = [p]
-    derivs = [dp]
-    for phi, jp in ((phi_plus, j_plus), (phi_minus, j_minus)):
-        amp = inner(phi, coords.state, jp, coords.jump_state)
-        damp = inner(phi, coords.d_state, jp, 0.0)
-        probs.append(abs(amp) ** 2)
-        derivs.append(2.0 * np.real(np.conj(amp) * damp))
-    probs.append(max(1.0 - sum(probs), 0.0))
-    derivs.append(-sum(derivs))
-    return phi_plus, phi_minus, mode_cfi(np.array(probs), np.array(derivs))
+    cfi = coords.four_outcome_cfi(p, dp, ((phi_plus, j_plus), (phi_minus, j_minus)))
+    return phi_plus, phi_minus, cfi
 
 
 def sld_eigenbasis(outgoing: OutgoingWavepacket):
@@ -382,20 +415,12 @@ def sld_eigenbasis(outgoing: OutgoingWavepacket):
         ZeroInformation: if the derivative has no component orthogonal to
             the state.
     """
-    dx = outgoing.grid.dt
-    jump = outgoing.jump
-    nn = norm_sq(outgoing.values, dx, jump)
-    p = 1.0 - nn
-    sd = inner_product(outgoing.values, outgoing.d_values, dx, jump, 0.0)
-    dp = -2.0 * sd.real
-    psi = outgoing.values / math.sqrt(nn)
-    j_psi = jump / math.sqrt(nn)
-    dpsi = outgoing.d_values / math.sqrt(nn) + outgoing.values * dp / (2.0 * nn**1.5)
-    j_dpsi = jump * dp / (2.0 * nn**1.5)
-    ov = inner_product(psi, dpsi, dx, j_psi, j_dpsi)
+    coords = _StateCoordinates.from_input(outgoing)
+    psi, dpsi, j_psi, j_dpsi, p, dp = coords.normalized()
+    ov = coords.inner(psi, dpsi, j_psi, j_dpsi)
     e2 = dpsi - ov * psi
     j_e2 = j_dpsi - ov * j_psi
-    eta = math.sqrt(norm_sq(e2, dx, j_e2))
+    eta = math.sqrt(coords.inner(e2, e2, j_e2, j_e2).real)
     if eta < 1e-12:
         raise ZeroInformation(f"orthogonal derivative norm {eta:.3e} below 1e-12")
     e2 /= eta
@@ -404,16 +429,8 @@ def sld_eigenbasis(outgoing: OutgoingWavepacket):
     m_minus = (psi - e2) / math.sqrt(2.0)
     j_plus = (j_psi + j_e2) / math.sqrt(2.0)
     j_minus = (j_psi - j_e2) / math.sqrt(2.0)
-    probs = [p]
-    derivs = [dp]
-    for m, jm in ((m_plus, j_plus), (m_minus, j_minus)):
-        amp = inner_product(m, outgoing.values, dx, jm, jump)
-        damp = inner_product(m, outgoing.d_values, dx, jm, 0.0)
-        probs.append(abs(amp) ** 2)
-        derivs.append(2.0 * np.real(np.conj(amp) * damp))
-    probs.append(max(1.0 - sum(probs), 0.0))
-    derivs.append(-sum(derivs))
-    return m_plus, m_minus, mode_cfi(np.array(probs), np.array(derivs))
+    cfi = coords.four_outcome_cfi(p, dp, ((m_plus, j_plus), (m_minus, j_minus)))
+    return m_plus, m_minus, cfi
 
 
 def modal_qfi_check(modal: ModalSet, p_loss: AmplitudePair,

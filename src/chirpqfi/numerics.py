@@ -328,6 +328,30 @@ def norm_sq(u: np.ndarray, dx: float, jump: complex = 0.0) -> float:
     return inner_product(u, u, dx, jump, jump).real
 
 
+# nodes per block of the weighted products; bounds their temporaries at
+# rows * _NODE_BLOCK complex values
+_NODE_BLOCK = 8192
+
+
+def _weighted_gram(u: np.ndarray, v: np.ndarray, dx: float, jumps_u, jumps_v) -> np.ndarray:
+    """Matrix form of inner_product: entry [i, j] is <u_i|v_j>.
+
+    u holds one function per row; v is a single function or one per row,
+    giving a vector or a matrix.  The trapezoid weights are dx everywhere
+    with the endpoint half-weights removed as a rank-2 correction, and the
+    onset jumps add the rank-1 term (dx/4) conj(J_u) J_v, which vanishes
+    wherever either jump is zero.  Summed block by block over nodes so that
+    no full-size conjugate or weighted copy is made.
+    """
+    n = u.shape[-1]
+    acc = 0.0
+    for s in range(0, n, _NODE_BLOCK):
+        acc = acc + np.conj(u[:, s:s + _NODE_BLOCK]) @ v[..., s:s + _NODE_BLOCK].T
+    ends = [0, n - 1]
+    acc = acc - 0.5 * (np.conj(u[:, ends]) @ v[..., ends].T)
+    return dx * (acc + 0.25 * np.multiply.outer(np.conj(jumps_u), jumps_v))
+
+
 def _transform(samples: np.ndarray, t: np.ndarray, omegas: np.ndarray,
                dx: float, sign: float) -> np.ndarray:
     w = _trapezoid_weights(len(t), dx)

@@ -390,6 +390,9 @@ def pulse_from_config(config: dict) -> PulseSpec:
     unknown = set(config) - set(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown pulse config keys: {sorted(unknown)}")
+    missing = [key for key in ("envelope", "gamma_t") if key not in config]
+    if missing:
+        raise ValueError(f"missing pulse config keys: {missing}")
     return PulseSpec(
         envelope=str(config["envelope"]),
         gamma_t=float(config["gamma_t"]),

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from chirpqfi import cli
 from chirpqfi.cli import (
     Scenario,
     SweepSpec,
@@ -184,6 +185,34 @@ def test_cli_failure_removes_partial_output(tmp_path, capsys):
     assert rc == 1
     assert not out.exists()
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["run", "--gamma_t", "1.0"], "envelope"),
+    (["sweep", "--envelope", "gaussian", "--sweep", "gamma_t=0.5:1.5:3"], "gamma_t"),
+], ids=["run-without-envelope", "sweep-without-gamma_t"])
+def test_cli_missing_pulse_key_is_a_clean_error(tmp_path, capsys, argv, missing):
+    out = tmp_path / "missing.csv"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("chirpqfi: error:") and missing in err
+
+
+def test_run_sweep_runs_each_point_once(monkeypatch):
+    calls = []
+
+    def counting(sc):
+        calls.append(sc)
+        return run_scenario(sc)
+
+    monkeypatch.setattr(cli, "run_scenario", counting)
+    sc = Scenario(PulseSpec("gaussian", 1.0), SystemParams(gamma=1.0), mode="closed_form")
+    header, rows = run_sweep(SweepSpec(sc, (("gamma_t", 1.0, 2.0, 2), ("gamma", 0.0, 5.0, 3))),
+                             threads=2)
+    assert len(calls) == len(rows) == 6
+    assert header == ["gamma_t", "gamma", "delta", "classical", "quantum", "total", "p_loss"]
 
 
 def test_cli_sweep_and_manifest_round_trip(tmp_path):

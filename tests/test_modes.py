@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chirpqfi import modes
 from chirpqfi.dynamics import (
     AmplitudePair,
     OutgoingWavepacket,
@@ -30,7 +31,7 @@ from chirpqfi.modes import (
     project_amplitudes,
     sld_eigenbasis,
 )
-from chirpqfi.numerics import inner_product, norm_sq
+from chirpqfi.numerics import Grid, inner_product, norm_sq
 from chirpqfi.pulses import PulseSpec, sample_pulse
 
 
@@ -78,8 +79,82 @@ def test_gram_schmidt_complex_seed_orthonormal():
 
 def test_degenerate_seed_raises():
     v = np.ones((2, 64), dtype=complex)  # duplicated candidate collapses
-    with pytest.raises(DegenerateSeed):
+    with pytest.raises(DegenerateSeed, match=r"pivot 1\b"):
         _orthonormalize(v, np.zeros(2, complex), 0.1)
+
+
+def _loop_gram_schmidt(funcs, jumps, dx):
+    """Reference: modified Gram-Schmidt with one re-orthogonalization pass,
+    one trapezoidal inner product at a time."""
+    funcs = funcs.astype(complex)
+    jumps = jumps.astype(complex)
+    for i in range(funcs.shape[0]):
+        v, jv = funcs[i], jumps[i]
+        for _ in range(2):
+            for k in range(i):
+                c = inner_product(funcs[k], v, dx, jumps[k], jv)
+                v = v - c * funcs[k]
+                jv = jv - c * jumps[k]
+        nrm = np.sqrt(norm_sq(v, dx, jv))
+        funcs[i] = v / nrm
+        jumps[i] = jv / nrm
+    return funcs, jumps
+
+
+@pytest.mark.parametrize("spec, kind", [
+    (PulseSpec("gaussian", 2.5, "quadratic", k=1.0), HermiteGauss(2.5)),
+    (PulseSpec("exponential", 2.0), GramSchmidtFromEnvelope(PulseSpec("exponential", 2.0))),
+], ids=["hermite-gauss-chirped", "envelope-exponential"])
+def test_build_basis_matches_loop_gram_schmidt(monkeypatch, spec, kind):
+    candidates = []
+
+    def capture(funcs, jumps, dx):
+        candidates.append((funcs.copy(), jumps.copy()))
+        return _orthonormalize(funcs, jumps, dx)
+
+    monkeypatch.setattr(modes, "_orthonormalize", capture)
+    grid = modal_grid(spec, 25, kind)
+    basis = build_basis(kind, 25, grid)
+    ref_funcs, ref_jumps = _loop_gram_schmidt(*candidates[0], grid.dt)
+    assert np.max(np.abs(basis.functions - ref_funcs)) < 1e-10
+    assert np.max(np.abs(basis.jumps - ref_jumps)) < 1e-10
+    assert basis.gram_defect() <= 1e-12
+    if isinstance(kind, GramSchmidtFromEnvelope):
+        assert np.all(basis.jumps != 0.0)  # the onset-jump term is exercised
+
+
+def test_project_amplitudes_matches_inner_product_loop():
+    spec = PulseSpec("exponential", 2.0, "quadratic", k=0.5)
+    params = SystemParams(gamma=5.0)
+    kind = GramSchmidtFromEnvelope(spec)
+    _, out = _outgoing(spec, params, 8, kind)
+    basis = build_basis(kind, 8, out.grid)
+    assert out.jump != 0.0 and np.all(basis.jumps != 0.0)
+    dx = out.grid.dt
+    b = [inner_product(g, out.values, dx, jg, out.jump) for g, jg in zip(basis.functions, basis.jumps)]
+    d = [inner_product(g, out.d_values, dx, jg, 0.0) for g, jg in zip(basis.functions, basis.jumps)]
+    modal = project_amplitudes(out, basis)
+    assert np.max(np.abs(modal.amplitudes - b)) < 1e-12
+    assert np.max(np.abs(modal.derivatives - d)) < 1e-12
+
+
+def test_nearly_dependent_candidates_name_the_pivot():
+    # the factorization succeeds, but the third pivot is 1e-7 of its norm
+    grid = Grid(-10.0, 10.0, 4001)
+    hg = modes._hermite_gauss_functions(grid.times(), 1.0, 3)
+    funcs = np.stack([hg[0], hg[1], hg[0] + 1e-7 * hg[2]])
+    with pytest.raises(DegenerateSeed, match=r"pivot 2\b"):
+        _orthonormalize(funcs, np.zeros(3, complex), grid.dt)
+
+
+def test_orthonormalize_works_in_place_and_accepts_independent_candidates():
+    grid = Grid(-10.0, 10.0, 4001)
+    hg = modes._hermite_gauss_functions(grid.times(), 1.0, 3)
+    funcs = np.stack([hg[0], hg[1], hg[0] + 1e-4 * hg[2]])
+    jumps = np.zeros(3, complex)
+    out, out_jumps = _orthonormalize(funcs, jumps, grid.dt)
+    assert out is funcs and out_jumps is jumps  # documented: overwrites its arguments
+    assert np.max(np.abs(funcs - hg)) < 1e-10
 
 
 def test_projection_grid_mismatch():
