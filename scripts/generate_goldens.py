@@ -4,7 +4,9 @@
 Evaluates the analytic Gaussian and exponential-pulse Fisher-information
 expressions with 60-digit mpmath arithmetic, well beyond double precision,
 so the frozen literals in tests/goldens.py act as an independent oracle for
-the float transcriptions in chirpqfi.fisher.
+the float transcriptions in chirpqfi.fisher.  The same arithmetic evaluates
+the spectral amplitudes that chirpqfi.pulses.spectrum_closed_form computes
+with a double-precision Faddeeva function and a truncated Bessel sum.
 
 Usage:
     python scripts/generate_goldens.py > tests/goldens.py
@@ -69,6 +71,35 @@ def exponential_breakdown(gamma, gt, delta):
     return C, Q, p
 
 
+def envelope_amplitude(envelope, gt, w):
+    """Unmodulated spectral amplitude (2 pi)^{-1/2} int xi(t) e^{i w t} dt."""
+    T = mp.mpf(gt)
+    w = mp.mpf(w)
+    if envelope == "gaussian":
+        return (2 * T**2 / mp.pi) ** mp.mpf("0.25") * mp.exp(-(T**2) * w**2)
+    return mp.sqrt(2 * T / mp.pi) / (1 - 2j * T * w)
+
+
+def chirped_exponential_amplitude(gt, k, w):
+    """Amplitude of the exponential pulse with phase k t^2:
+    (2 pi T)^{-1/2} int_0^inf e^{-p t^2 - q t} dt, p = -ik, q = 1/2T - iw."""
+    T = mp.mpf(gt)
+    p = -1j * mp.mpf(k)
+    q = 1 / (2 * T) - 1j * mp.mpf(w)
+    z = q / (2 * mp.sqrt(p))
+    return mp.sqrt(mp.pi / p) / 2 * mp.exp(z**2) * mp.erfc(z) / mp.sqrt(2 * mp.pi * T)
+
+
+def sinusoidal_amplitude(envelope, gt, omega, w, terms=40):
+    """Jacobi-Anger sum sum_n J_n(1) xi~0(w + n Omega) of the phase sin(Omega t)."""
+    return mp.fsum(mp.besselj(n, 1) * envelope_amplitude(envelope, gt, mp.mpf(w) + n * mp.mpf(omega))
+                   for n in range(-terms, terms + 1))
+
+
+def _complex(z):
+    return f"complex({mp.nstr(mp.re(z), 17)}, {mp.nstr(mp.im(z), 17)})"
+
+
 def emit():
     print('"""Golden oracle values, frozen from a 60-digit mpmath evaluation.')
     print()
@@ -101,6 +132,25 @@ def emit():
     for x in ("-6", "-3", "-1", "-0.5", "0", "0.25", "1", "3", "10", "50", "100", "700"):
         v = mp.exp(mp.mpf(x) ** 2) * mp.erfc(mp.mpf(x))
         print(f"    {float(mp.mpf(x))}: {mp.nstr(v, 17)},")
+    print("}")
+    print()
+    print("# (gamma_t, k, omega) -> spectral amplitude of the exponential pulse with phase k t^2")
+    print("EXPONENTIAL_QUADRATIC_SPECTRUM = {")
+    for gt in ("0.5", "2"):
+        for k in (1, -1):
+            for w in ("-3", "0", "1.5"):
+                v = chirped_exponential_amplitude(gt, k, w)
+                print(f"    ({float(mp.mpf(gt))}, {float(k)}, {float(mp.mpf(w))}): {_complex(v)},")
+    print("}")
+    print()
+    print("# (envelope, gamma_t, Omega, omega) -> spectral amplitude with phase sin(Omega t)")
+    print("SINUSOIDAL_SPECTRUM = {")
+    for envelope in ("gaussian", "exponential"):
+        for gt, om in (("2.5", "1"), ("0.5", "2")):
+            for w in ("-2", "0", "0.7"):
+                v = sinusoidal_amplitude(envelope, gt, om, w)
+                print(f"    ({envelope!r}, {float(mp.mpf(gt))}, {float(mp.mpf(om))}, {float(mp.mpf(w))}): "
+                      f"{_complex(v)},")
     print("}")
 
 

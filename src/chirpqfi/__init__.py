@@ -85,6 +85,7 @@ from .modes import (  # noqa: F401
     ModalSet,
     ModeBasis,
     build_basis,
+    conditional_cumulative_ratio,
     modal_grid,
     modal_qfi_check,
     mode_cfi,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import json
@@ -33,12 +34,13 @@ from .modes import (
     GramSchmidtFromEnvelope,
     HermiteGauss,
     build_basis,
+    conditional_cumulative_ratio,
     modal_grid,
     mode_cfi,
     outcome_distribution,
     project_amplitudes,
 )
-from .pulses import PulseSpec, default_grid, pulse_from_config, pulse_to_config, sample_pulse
+from .pulses import PulseSpec, bandwidth, default_grid, pulse_from_config, pulse_to_config, sample_pulse
 
 MODES = ("asymptotic", "finite_time", "mode_cfi", "closed_form")
 SWEEPABLE = ("gamma_t", "alpha", "k", "omega", "gamma", "delta")
@@ -165,12 +167,9 @@ def _closed_form_breakdown(sc: Scenario) -> FisherBreakdown:
     pulse, params = sc.pulse, sc.params
     if pulse.envelope == "gaussian":
         if pulse.modulation in ("none", "quadratic"):
-            sigma = 1.0 / (2.0 * pulse.gamma_t)
-            if pulse.modulation == "quadratic":
-                sigma *= np.sqrt(1.0 + 16.0 * pulse.k**2 * pulse.gamma_t**4)
             if params.delta != 0.0:
                 raise ValueError("Gaussian closed form requires zero detuning")
-            return gaussian_closed_forms(params.gamma, sigma)
+            return gaussian_closed_forms(params.gamma, bandwidth(pulse))
         raise ValueError(f"no closed form for gaussian + {pulse.modulation}")
     if pulse.modulation in ("none", "linear"):
         delta_eff = params.delta + (pulse.alpha if pulse.modulation == "linear" else 0.0)
@@ -207,18 +206,12 @@ def run_scenario(sc: Scenario):
     basis = build_basis(kind, sc.j_max, grid)
     modal = project_amplitudes(out, basis)
     qfi = asymptotic_qfi(sc.pulse, sc.params).total
-    p, dp = modal.p_loss.p, modal.p_loss.dp
-    b, d = modal.amplitudes, modal.derivatives
-    surv = 1.0 - p
-    cond_p = np.abs(b) ** 2 / surv
-    cond_dp = 2.0 * np.real(np.conj(b) * d) / surv + np.abs(b) ** 2 * dp / surv**2
-    cond_terms = np.where(cond_p > 1e-14, cond_dp**2 / np.where(cond_p > 1e-14, cond_p, 1.0), 0.0)
-    cond_cum = np.cumsum(cond_terms)
+    conditional = conditional_cumulative_ratio(modal, qfi)
     rows = []
     for j in range(sc.j_max + 1):
         probs, derivs = outcome_distribution(modal, j)
         cfi = mode_cfi(probs, derivs)
-        rows.append([j, cfi, qfi, cfi / qfi, cond_cum[j] / qfi])
+        rows.append([j, cfi, qfi, cfi / qfi, conditional[j]])
     return list(HEADERS[sc.mode]), rows
 
 
@@ -228,9 +221,21 @@ def _format(value) -> str:
     return repr(float(value))
 
 
+@contextlib.contextmanager
+def _output_file(path: str, newline=None):
+    """Open path for writing; if writing fails part-way, remove the partial file."""
+    fh = open(path, "w", newline=newline, encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 def write_csv(path: str, header, rows, comments) -> None:
     """UTF-8 CSV with RFC-4180 quoting and a '#' provenance prologue."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output_file(path, newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\r\n")
         writer = csv.writer(fh)
@@ -247,15 +252,21 @@ def write_manifest(path: str, preset: Optional[str], scenario_blocks) -> str:
         "tool_version": __version__,
         "config_hash": digest,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output_file(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return digest
 
 
 def _emit(path: str, header, rows, scenario_blocks, preset=None) -> None:
-    digest = write_manifest(os.path.splitext(path)[0] + ".manifest.json", preset, scenario_blocks)
-    write_csv(path, header, rows, [f"chirpqfi {__version__}", f"config_hash: {digest}"])
+    """Write the manifest, then the CSV; a failed CSV also removes its manifest."""
+    manifest = os.path.splitext(path)[0] + ".manifest.json"
+    digest = write_manifest(manifest, preset, scenario_blocks)
+    try:
+        write_csv(path, header, rows, [f"chirpqfi {__version__}", f"config_hash: {digest}"])
+    except BaseException:
+        os.remove(manifest)
+        raise
 
 
 def run_sweep(sweep: SweepSpec, threads: int = None):
@@ -494,13 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out_path = getattr(args, "out", None)
     try:
         if args.command == "run":
             cfg = _load_config(args)
             sc = scenario_from_config(cfg)
             header, rows = run_scenario(sc)
-            _emit(out_path, header, rows, [scenario_to_config(sc)])
+            _emit(args.out, header, rows, [scenario_to_config(sc)])
         elif args.command == "sweep":
             cfg = _load_config(args)
             sweep_texts = [t for t in (args.sweep or cfg.pop("sweep", None),
@@ -513,15 +523,13 @@ def main(argv=None) -> int:
             block = {**scenario_to_config(sc),
                      **{f"sweep{i or ''}": t for i, t in enumerate(sweep_texts) if i == 0},
                      **({"sweep2": sweep_texts[1]} if len(sweep_texts) > 1 else {})}
-            _emit(out_path, header, rows, [block])
+            _emit(args.out, header, rows, [block])
         else:
             paths = figure_preset(args.name, args.out_dir, args.threads)
             for p in paths:
                 print(p)
         return 0
     except (ChirpQFIError, ValueError, OSError) as exc:
-        if out_path and os.path.exists(out_path):
-            os.remove(out_path)
         print(f"chirpqfi: error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,6 +39,7 @@ __all__ = [
     "project_amplitudes",
     "outcome_distribution",
     "mode_cfi",
+    "conditional_cumulative_ratio",
     "optimal_two_outcome_povm",
     "sld_eigenbasis",
     "modal_qfi_check",
@@ -314,6 +315,22 @@ def mode_cfi(probs: np.ndarray, derivs: np.ndarray) -> float:
         i = int(np.argmax(dead_with_slope))
         raise SingularOutcome(f"outcome {i}: p={probs[i]:.3e} with dp={derivs[i]:.3e}")
     return float(np.sum(derivs[live] ** 2 / probs[live]))
+
+
+def conditional_cumulative_ratio(modal: ModalSet, qfi: float) -> np.ndarray:
+    """Running information of mode counting given photon survival, over qfi.
+
+    Entry j sums, over modes 0..j, the Fisher information of the conditional
+    probability |b_j|^2 / (1-p) of each mode; modes with conditional
+    probability below 1e-14 contribute zero.
+    """
+    p, dp = modal.p_loss.p, modal.p_loss.dp
+    b, d = modal.amplitudes, modal.derivatives
+    surv = 1.0 - p
+    cond_p = np.abs(b) ** 2 / surv
+    cond_dp = 2.0 * np.real(np.conj(b) * d) / surv + np.abs(b) ** 2 * dp / surv**2
+    live = cond_p > PROB_FLOOR
+    return np.cumsum(np.where(live, cond_dp**2 / np.where(live, cond_p, 1.0), 0.0)) / qfi
 
 
 class _StateCoordinates:

@@ -148,7 +148,7 @@ def _gk15(f, a: float, b: float):
 
 
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                       rel_tol: float = 1e-10, max_depth: int = 60) -> complex:
+                       rel_tol: float = 1e-10, max_depth: int = 60, points=()) -> complex:
     """Adaptively integrate a complex-valued f over [a, b].
 
     Globally adaptive bisection with an embedded Gauss(7)/Kronrod(15) rule
@@ -161,6 +161,9 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
         a, b: interval endpoints, a < b.
         rel_tol: requested relative error, in (0, 1e-2].
         max_depth: bisection depth bound per panel.
+        points: breakpoints; the adaptive start is one panel per piece of
+            [a, b] between them (as in QUADPACK's qagp), so features the
+            first nodes would straddle are still found.
 
     Returns:
         The integral estimate as a complex number.
@@ -174,18 +177,29 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     if not 0.0 < rel_tol <= 1e-2:
         raise ValueError(f"rel_tol must lie in (0, 1e-2], got {rel_tol}")
 
-    kron, err = _gk15(f, a, b)
     # heap of (-error, depth, a, b, value); finite errors tracked by a running
     # sum, non-finite panels (sentinel error) by a separate count so the huge
-    # sentinel cannot absorb the small terms
-    heap = [(-err, 0, a, b, kron)]
-    total = kron
-    total_err = err if err < _HUGE_ERR else 0.0
-    n_huge = 0 if err < _HUGE_ERR else 1
-    l1 = abs(kron)
+    # sentinel cannot absorb the small terms.  Each pass adds new panels (first
+    # the pieces between breakpoints), retires their parent and splits the worst.
+    edges = [a, *sorted({float(x) for x in points if a < x < b}), b]
+    panels, depth, pval = list(zip(edges[:-1], edges[1:])), 0, 0.0
+    heap = []
+    total = total_err = l1 = 0.0
+    n_huge = 0
     eps = np.finfo(float).eps
 
-    for _ in range(20000):
+    for _ in range(20001):
+        for qa, qb in panels:
+            k, e = _gk15(f, qa, qb)
+            total += k
+            l1 += abs(k)
+            if e < _HUGE_ERR:
+                total_err += e
+            else:
+                n_huge += 1
+            heapq.heappush(heap, (-e, depth, qa, qb, k))
+        total -= pval
+        l1 -= abs(pval)
         target = max(rel_tol * abs(total), 8.0 * eps * l1, 1e-300)
         if n_huge == 0 and total_err <= target:
             return complex(total)
@@ -200,33 +214,25 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
         else:
             n_huge -= 1
         pm = 0.5 * (pa + pb)
-        for qa, qb in ((pa, pm), (pm, pb)):
-            k, e = _gk15(f, qa, qb)
-            total += k
-            l1 += abs(k)
-            if e < _HUGE_ERR:
-                total_err += e
-            else:
-                n_huge += 1
-            heapq.heappush(heap, (-e, depth + 1, qa, qb, k))
-        total -= pval
-        l1 -= abs(pval)
+        panels, depth = ((pa, pm), (pm, pb)), depth + 1
     raise NonConvergence(f"panel budget exhausted on [{a}, {b}]")
 
 
 def integrate_real_line(f, center: float = 0.0, scale: float = 1.0,
-                        rel_tol: float = 1e-10) -> complex:
+                        rel_tol: float = 1e-10, points=()) -> complex:
     """Integrate f over the whole real line via the substitution x = c + s*tan(u).
 
     The integrand must decay at least like 1/x^2 for the transformed
-    integrand to vanish at the endpoints.
+    integrand to vanish at the endpoints.  points are breakpoints in x,
+    passed to integrate_adaptive through the same substitution.
     """
     def g(u):
         x = center + scale * np.tan(u)
         return f(x) * scale / np.cos(u) ** 2
 
     half_pi = 0.5 * np.pi
-    return integrate_adaptive(g, -half_pi, half_pi, rel_tol=rel_tol)
+    breaks = np.arctan((np.asarray(points, dtype=float) - center) / scale)
+    return integrate_adaptive(g, -half_pi, half_pi, rel_tol=rel_tol, points=breaks)
 
 
 def _step_coefficients(z: complex):

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import jv
 
 from .errors import DivergentMoment, GridTooNarrow
-from .numerics import FrequencyGrid, Grid, discrete_fourier, norm_sq
+from .numerics import FrequencyGrid, Grid, discrete_fourier, norm_sq, scaled_erfc
 
 __all__ = [
     "PulseSpec",
@@ -208,26 +209,29 @@ def sample_pulse(spec: PulseSpec, grid: Grid) -> SampledPulse:
     return SampledPulse(spec, grid, values / nrm, jump / nrm, onset_index)
 
 
-def _gaussian_sigma(spec: PulseSpec) -> float:
-    """RMS spectral width of the (possibly chirped) Gaussian family."""
-    sigma = 1.0 / (2.0 * spec.gamma_t)
-    if spec.modulation == "quadratic":
-        return math.sqrt(1.0 + 16.0 * spec.k**2 * spec.gamma_t**4) * sigma
-    return sigma
+# Jacobi-Anger sidebands of a sinusoidal phase: e^{i sin(x)} = sum_n J_n(1) e^{inx};
+# J_16(1) = 7e-19 is below the rounding of J_0(1), so |n| <= 15 is exact in doubles
+_SIDEBANDS = np.arange(-15, 16)
+_SIDEBAND_WEIGHTS = jv(_SIDEBANDS, 1.0)
 
 
 def spectrum_closed_form(spec: PulseSpec, omega):
-    """Analytic spectral amplitude xi~(omega), or None when no closed form exists.
+    """Analytic spectral amplitude xi~(omega), for every pulse family.
 
     Convention: xi~(omega) = (2 pi)^{-1/2} * integral of xi(t) e^{+i omega t} dt,
     so a linear phase alpha*t shifts the unmodulated spectrum to xi~0(omega + alpha).
-    Closed forms cover the Gaussian envelope with no/linear/quadratic modulation
-    and the exponential envelope with no/linear modulation.
+    A quadratic chirp on the exponential envelope gives
+    (2 pi T)^{-1/2} (1/2) sqrt(pi/p) erfcx(q / 2 sqrt(p)) with p = -ik and
+    q = 1/2T - i omega, erfcx of a complex argument being the Faddeeva
+    function (Poppe & Wijers, ACM TOMS 16, 1990).  A sinusoidal phase
+    sin(Omega t) gives the Jacobi-Anger sum sum_n J_n(1) xi~0(omega + n Omega)
+    over |n| <= 15.
     """
     omega = np.asarray(omega, dtype=float)
     T = spec.gamma_t
     if spec.modulation == "sinusoidal":
-        return None
+        shifted = omega[..., None] + spec.omega * _SIDEBANDS
+        return spectrum_closed_form(PulseSpec(spec.envelope, T), shifted) @ _SIDEBAND_WEIGHTS
     shift = spec.alpha if spec.modulation == "linear" else 0.0
     w = omega + shift
     if spec.envelope == "gaussian":
@@ -235,8 +239,15 @@ def spectrum_closed_form(spec: PulseSpec, omega):
             a = 1.0 / (4.0 * T**2) - 1j * spec.k
             return (2.0 * np.pi * T**2) ** (-0.25) / np.sqrt(2.0 * a) * np.exp(-(w**2) / (4.0 * a))
         return (2.0 * T**2 / np.pi) ** 0.25 * np.exp(-(T**2) * w**2)
-    if spec.modulation == "quadratic":
-        return None
+    if spec.modulation == "quadratic" and spec.k != 0.0:
+        root_p = np.sqrt(-1j * spec.k)
+        amp = 0.5 * math.sqrt(0.5 / T) / root_p * scaled_erfc((0.5 / T - 1j * w) / (2.0 * root_p))
+        far = np.abs(w) * T > 1e14
+        if np.any(far):
+            # erfcx loses Re z^2 to cancellation out here; the onset term 1/q of
+            # the time integral is then exact to double precision (for |k| T^2 < 1e12)
+            amp = np.where(far, np.sqrt(2.0 * T / np.pi) / (1.0 - 2j * T * w), amp)
+        return amp
     return np.sqrt(2.0 * T / np.pi) / (1.0 - 2j * T * w)
 
 
@@ -244,114 +255,78 @@ def spectrum_closed_form(spec: PulseSpec, omega):
 class SpectralDensity:
     """|xi~(omega)|^2 as a callable, with hints for quadrature routines.
 
-    support is None for analytic densities valid on the whole line, else
-    the (lo, hi) band outside of which the density is treated as zero.
+    center and scale place the whole-line substitution; breaks are
+    frequencies (sideband edges) at which quadrature panels start split.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     center: float
     scale: float
-    support: Optional[tuple] = None
-    closed_form: bool = True
+    breaks: tuple = ()
+    # every density is analytic on the whole line
+    closed_form = True
 
     def __call__(self, omega):
         return self.fn(np.asarray(omega, dtype=float))
 
 
-def spectral_density(spec: PulseSpec, grid: Grid = None) -> SpectralDensity:
-    """Spectral probability density of the pulse.
+def spectral_density(spec: PulseSpec) -> SpectralDensity:
+    """Spectral probability density |xi~(omega)|^2 of the pulse, in closed form.
 
-    Uses the closed form when one exists; otherwise samples the pulse
-    (on `grid` or on a spectral default) and squares the trapezoidal
-    transform, restricted to a band that contains all non-negligible mass.
+    Normal densities for the Gaussian families, Lorentzians for the unchirped
+    exponential ones, |spectrum_closed_form|^2 otherwise; the sidebands of a
+    sinusoidal phase, at -n*omega, are each bracketed by breaks.
     """
     T = spec.gamma_t
     shift = spec.alpha if spec.modulation == "linear" else 0.0
-    if spec.envelope == "gaussian" and spec.modulation in ("none", "linear", "quadratic"):
-        sigma = _gaussian_sigma(spec)
+    if spec.envelope == "gaussian" and spec.modulation != "sinusoidal":
+        sigma = bandwidth(spec)
 
         def fn(w, _s=sigma, _c=-shift):
             return np.exp(-((w - _c) ** 2) / (2.0 * _s**2)) / (_s * math.sqrt(2.0 * math.pi))
 
-        return SpectralDensity(fn, center=-shift, scale=sigma, support=None)
-    if spec.envelope == "exponential" and spec.modulation in ("none", "linear"):
+        return SpectralDensity(fn, center=-shift, scale=sigma)
+    if spec.envelope == "exponential" and spec.modulation in ("none", "linear") \
+            or spec.modulation == "quadratic" and spec.k == 0.0:
 
         def fn(w, _T=T, _c=-shift):
             return (2.0 * _T / np.pi) / (1.0 + 4.0 * _T**2 * (w - _c) ** 2)
 
-        return SpectralDensity(fn, center=-shift, scale=1.0 / (2.0 * T), support=None)
+        return SpectralDensity(fn, center=-shift, scale=1.0 / (2.0 * T))
 
-    sampled = sample_pulse(spec, grid if grid is not None else spectral_grid(spec))
-    if spec.envelope == "gaussian":
-        # sidebands at multiples of the modulation frequency, Bessel-suppressed
-        half = 10.0 * abs(spec.omega) + 14.0 / (2.0 * T) + 2.0
-        center, scale = 0.0, 1.0 / (2.0 * T)
-        support = (-half, half)
-    else:
-        # chirped step pulse: stationary-phase band on one side, power-law tail capped
-        chirp_edge = 2.0 * abs(spec.k) * sampled.grid.t_end
-        half = chirp_edge + 40.0
-        support = (-half, 250.0) if spec.k >= 0 else (-250.0, half)
-        center = -np.sign(spec.k) * min(chirp_edge / 4.0, 10.0)
-        scale = max(1.0, 1.0 / T)
-    fn = _splined_density(sampled, support)
-    return SpectralDensity(fn, center=center, scale=scale, support=support, closed_form=False)
+    def fn(w, _spec=spec):
+        return np.abs(spectrum_closed_form(_spec, w)) ** 2
 
-
-def _splined_density(sampled: SampledPulse, support) -> Callable:
-    """|xi~|^2 on a dense FFT comb of the grid transform, cubic-splined in between.
-
-    The comb values are the same trapezoidal transform that discrete_fourier
-    evaluates (the edge half-weights act on decayed samples); the spline adds
-    an O(domega^4) interpolation error, far below the transform's own error.
-    """
-    from scipy.interpolate import CubicSpline
-
-    grid, values = sampled.grid, sampled.values
-    n = grid.n_points
-    # generous zero padding keeps the spline interpolation error well below
-    # the transform's own discretization error
-    pad = 1 << int(np.ceil(np.log2(8 * n)))
-    comb = 2.0 * np.pi * np.fft.fftfreq(pad, d=grid.dt)
-    # sum_j xi_j e^{+i w t_j} dt = e^{i w t_start} * pad * ifft(xi)[k] * dt
-    amp = np.fft.ifft(values, n=pad) * pad * grid.dt / np.sqrt(2.0 * np.pi)
-    amp *= np.exp(1j * comb * grid.t_start)
-    order = np.argsort(comb)
-    comb, dens = comb[order], np.abs(amp[order]) ** 2
-    keep = (comb >= support[0] - 1.0) & (comb <= support[1] + 1.0)
-    spline = CubicSpline(comb[keep], dens[keep])
-
-    def fn(w, _s=spline, _lo=support[0], _hi=support[1]):
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        out = np.zeros_like(w)
-        inside = (w >= _lo) & (w <= _hi)
-        if np.any(inside):
-            out[inside] = np.clip(_s(w[inside]), 0.0, None)
-        return out
-
-    return fn
+    width = 1.0 / (2.0 * T)
+    if spec.modulation == "sinusoidal":
+        half = min(0.5 * abs(spec.omega), 10.0 * width)
+        breaks = sorted({float(-n * spec.omega + side * half)
+                         for n in _SIDEBANDS for side in (-1.0, 1.0)})
+        return SpectralDensity(fn, center=0.0, scale=width, breaks=tuple(breaks))
+    # chirped step pulse: stationary-phase band on the side opposite to k
+    center = -math.copysign(min(2.0 * abs(spec.k) * T, 10.0), spec.k)
+    return SpectralDensity(fn, center=center, scale=max(1.0, 1.0 / T))
 
 
 def bandwidth(spec: PulseSpec) -> float:
     """RMS width of |xi~(omega)|^2 about its mean, in units of the coupling rate.
+
+    A sinusoidal phase sin(Omega t) adds the variance of the instantaneous
+    frequency Omega cos(Omega t) over |xi(t)|^2, a normal density of variance
+    gamma_t^2: Omega^2 [(1 + e^{-2 Omega^2 T^2})/2 - e^{-Omega^2 T^2}].
 
     Raises:
         DivergentMoment: for the exponential envelope (Lorentzian tails).
     """
     if spec.envelope == "exponential":
         raise DivergentMoment("second spectral moment of the exponential envelope diverges")
-    if spec.modulation in ("none", "linear", "quadratic"):
-        return _gaussian_sigma(spec)
     sigma = 1.0 / (2.0 * spec.gamma_t)
-    half = 8.5 * abs(spec.omega) + 14.0 * sigma + 1.0
-    n = max(4001, int(40.0 * half / sigma) + 1)
-    freq = FrequencyGrid(-half, half, n)
-    w = freq.omegas()
-    dens = spectral_density(spec)(w)
-    total = np.trapezoid(dens, dx=freq.domega)
-    mean = np.trapezoid(w * dens, dx=freq.domega) / total
-    var = np.trapezoid((w - mean) ** 2 * dens, dx=freq.domega) / total
-    return math.sqrt(var)
+    if spec.modulation == "quadratic":
+        return math.sqrt(1.0 + 16.0 * spec.k**2 * spec.gamma_t**4) * sigma
+    if spec.modulation != "sinusoidal":
+        return sigma
+    x = (spec.omega * spec.gamma_t) ** 2
+    return math.sqrt(sigma**2 + spec.omega**2 * (0.5 * (1.0 + math.exp(-2.0 * x)) - math.exp(-x)))
 
 
 def spectral_symmetry(spec: PulseSpec, freq: FrequencyGrid, tol: float = 1e-8,

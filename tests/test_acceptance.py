@@ -33,6 +33,7 @@ from chirpqfi.modes import (
     GramSchmidtFromEnvelope,
     HermiteGauss,
     build_basis,
+    conditional_cumulative_ratio,
     modal_grid,
     mode_cfi,
     optimal_two_outcome_povm,
@@ -195,13 +196,7 @@ def test_criterion_07_mode_counting_ratios():
         qfi = asymptotic_qfi(spec, params).total
         probs, derivs = outcome_distribution(modal, 20)
         measured[name] = mode_cfi(probs, derivs) / qfi
-        p, dp = modal.p_loss.p, modal.p_loss.dp
-        surv = 1.0 - p
-        cond_p = np.abs(modal.amplitudes) ** 2 / surv
-        cond_dp = (2.0 * np.real(np.conj(modal.amplitudes) * modal.derivatives) / surv
-                   + np.abs(modal.amplitudes) ** 2 * dp / surv**2)
-        terms = np.where(cond_p > 1e-14, cond_dp**2 / np.where(cond_p > 1e-14, cond_p, 1.0), 0.0)
-        conditional[name] = float(np.cumsum(terms)[20]) / qfi
+        conditional[name] = float(conditional_cumulative_ratio(modal, qfi)[20])
 
     # matched-continuation basis for the chirped pulse
     spec_q = PulseSpec("gaussian", 2.5, "quadratic", k=1.0)

@@ -187,6 +187,26 @@ def test_cli_failure_removes_partial_output(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_failure_keeps_earlier_output(tmp_path):
+    out = tmp_path / "keep.csv"
+    manifest = tmp_path / "keep.manifest.json"
+    assert main(["run", "--envelope", "gaussian", "--gamma_t", "1", "--gamma", "1",
+                 "--out", str(out)]) == 0
+    before = out.read_bytes(), manifest.read_bytes()
+    assert main(["run", "--envelope", "gaussian", "--gamma_t", "-1", "--out", str(out)]) == 1
+    assert (out.read_bytes(), manifest.read_bytes()) == before
+
+
+def test_cli_failed_write_removes_its_files(tmp_path, monkeypatch):
+    def unformattable(value):
+        raise ValueError("cannot format")
+
+    monkeypatch.setattr(cli, "_format", unformattable)
+    out = tmp_path / "partial.csv"
+    assert main(["run", "--envelope", "gaussian", "--gamma_t", "1", "--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, missing", [
     (["run", "--gamma_t", "1.0"], "envelope"),
     (["sweep", "--envelope", "gaussian", "--sweep", "gamma_t=0.5:1.5:3"], "gamma_t"),

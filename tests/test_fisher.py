@@ -98,6 +98,16 @@ def test_asymptotic_quadrature_matches_exponential_closed_form():
     assert bd.quantum == pytest.approx(ref.quantum, rel=1e-6)
 
 
+def test_asymptotic_resolves_well_separated_sidebands():
+    # Omega = 10 puts the sidebands of a gamma_t = 8 pulse 160 widths apart;
+    # without panel breaks at their edges the whole-line quadrature skips
+    # some of them
+    spec = PulseSpec("gaussian", 8.0, "sinusoidal", omega=10.0)
+    params = SystemParams(gamma=0.0)
+    late = finite_time_curve(sample_pulse(spec, default_grid(spec)), params).total[-1]
+    assert abs(asymptotic_qfi(spec, params).total - late) < 1e-6
+
+
 def test_asymptotic_lossless_has_no_classical_part():
     bd = asymptotic_qfi(PulseSpec("gaussian", 1.0), SystemParams(gamma=0.0))
     assert bd.classical == 0.0

@@ -68,6 +68,21 @@ def test_integrate_nonconvergence_reported_at_depth_bound():
         integrate_adaptive(lambda x: np.where(x < 0.5, 1.0, np.inf), 0.0, 1.0, 1e-10)
 
 
+def test_integrate_breakpoints_find_a_narrow_feature():
+    # a bump of width 1e-3 at x = 7: no node of the first panel on [-10, 10]
+    # comes near it, so the first estimate is 0 with error 0
+    def bump(x):
+        return np.exp(-(((x - 7.0) / 1e-3) ** 2))
+
+    exact = 1e-3 * math.sqrt(math.pi)
+    assert integrate_adaptive(bump, -10.0, 10.0, 1e-10) == 0.0
+    found = integrate_adaptive(bump, -10.0, 10.0, 1e-10, points=(6.99, 7.01))
+    assert found.real == pytest.approx(exact, rel=1e-10)
+    # breakpoints outside the interval are ignored
+    f = lambda x: np.exp(-x**2) * np.cos(3 * x)
+    assert integrate_adaptive(f, -4.0, 4.0, points=(-5.0, 4.0, 9.0)) == integrate_adaptive(f, -4.0, 4.0)
+
+
 def test_integrate_real_line_lorentzian():
     val = integrate_real_line(lambda x: 1.0 / (1.0 + x**2), center=0.0, scale=1.0)
     assert val.real == pytest.approx(math.pi, rel=1e-10)

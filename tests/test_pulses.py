@@ -18,6 +18,7 @@ from chirpqfi.pulses import (
     spectral_symmetry,
     spectrum_closed_form,
 )
+from goldens import EXPONENTIAL_QUADRATIC_SPECTRUM, SINUSOIDAL_SPECTRUM
 
 
 def test_spec_validation():
@@ -93,6 +94,11 @@ def test_normalization_invariant(envelope, gamma_t, modulation, value):
     (PulseSpec("gaussian", 1.0, "quadratic", k=1.0), 14.0),
     (PulseSpec("exponential", 1.0), 30.0),
     (PulseSpec("exponential", 2.0, "linear", alpha=1.0), 30.0),
+    (PulseSpec("exponential", 1.0, "quadratic", k=1.0), 30.0),
+    (PulseSpec("exponential", 1.0, "quadratic", k=-1.0), 30.0),
+    (PulseSpec("exponential", 1.0, "quadratic", k=0.0), 30.0),
+    (PulseSpec("gaussian", 2.5, "sinusoidal", omega=1.0), 8.0),
+    (PulseSpec("exponential", 2.0, "sinusoidal", omega=1.0), 30.0),
 ])
 def test_closed_form_spectrum_matches_transform(spec, band):
     p = sample_pulse(spec, spectral_grid(spec))
@@ -102,9 +108,25 @@ def test_closed_form_spectrum_matches_transform(spec, band):
     assert np.max(np.abs(closed - numeric)) < 1e-6
 
 
-def test_closed_form_unavailable_cases():
-    assert spectrum_closed_form(PulseSpec("gaussian", 1.0, "sinusoidal", omega=1.0), 0.0) is None
-    assert spectrum_closed_form(PulseSpec("exponential", 1.0, "quadratic", k=1.0), 0.0) is None
+def test_closed_form_spectrum_against_golden_oracle():
+    # 60-digit mpmath values: erfc of a complex argument for the chirped
+    # exponential, 81-term Bessel sums for the sinusoidal phase
+    for (gt, k, w), ref in EXPONENTIAL_QUADRATIC_SPECTRUM.items():
+        amp = spectrum_closed_form(PulseSpec("exponential", gt, "quadratic", k=k), w)
+        assert abs(amp - ref) < 1e-12
+    for (envelope, gt, om, w), ref in SINUSOIDAL_SPECTRUM.items():
+        amp = spectrum_closed_form(PulseSpec(envelope, gt, "sinusoidal", omega=om), w)
+        assert abs(amp - ref) < 1e-12
+
+
+def test_chirped_exponential_spectrum_far_tails():
+    # far from the stationary-phase band only the onset term 1/q of the time
+    # integral survives, which is the unchirped amplitude
+    w = np.array([-1e17, -1e9, 1e9, 1e17])
+    for k in (1.0, -1.0):
+        amp = spectrum_closed_form(PulseSpec("exponential", 1.0, "quadratic", k=k), w)
+        onset = spectrum_closed_form(PulseSpec("exponential", 1.0), w)
+        assert np.max(np.abs(amp / onset - 1.0)) < 1e-12
 
 
 def test_gaussian_spectrum_value_at_zero():
@@ -154,6 +176,19 @@ def test_bandwidth_sinusoidal_numeric():
     sideband_var = sum(2 * n**2 * jv(n, 1.0) ** 2 for n in range(1, 12))
     expected = math.sqrt(sigma**2 + sideband_var)
     assert bandwidth(spec) == pytest.approx(expected, rel=1e-4)
+
+
+def test_bandwidth_sinusoidal_short_pulse():
+    # at gamma_t = 0.25 the sidebands overlap, so the overlap terms of the
+    # closed form matter; compare with a fine trapezoid of the density
+    spec = PulseSpec("gaussian", 0.25, "sinusoidal", omega=1.0)
+    w = np.linspace(-40.0, 40.0, 160001)
+    dens = spectral_density(spec)(w)
+    total = np.trapezoid(dens, w)
+    mean = np.trapezoid(w * dens, w) / total
+    var = np.trapezoid((w - mean) ** 2 * dens, w) / total
+    assert total == pytest.approx(1.0, rel=1e-12)
+    assert bandwidth(spec) == pytest.approx(math.sqrt(var), rel=1e-9)
 
 
 def test_bandwidth_divergent_for_exponential():
