@@ -8,7 +8,6 @@ can be reproduced byte-for-byte from its manifest.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import csv
 import hashlib
@@ -269,40 +268,27 @@ def _emit(path: str, header, rows, scenario_blocks, preset=None) -> None:
         raise
 
 
-def run_sweep(sweep: SweepSpec, threads: int = None):
-    """Evaluate the sweep grid; returns (header, rows) ordered by swept values.
-
-    Points are dispatched to a thread pool but assembled in grid order, so
-    the output is deterministic regardless of completion order.
-    """
+def run_sweep(sweep: SweepSpec):
+    """Evaluate the sweep grid point by point; returns (header, rows) in grid order."""
     axes = [np.linspace(start, stop, count) for _, start, stop, count in sweep.fields]
     names = [f[0] for f in sweep.fields]
-    points = [(i, vals) for i, vals in enumerate(
-        [tuple(float(a) for a in combo) for combo in _grid_points(axes)])]
-
-    def evaluate(vals):
+    base_header = HEADERS[sweep.template.mode]
+    header = list(names) + [c for c in base_header if c not in names]
+    keep = [i for i, c in enumerate(base_header) if c not in names]
+    rows = []
+    for combo in _grid_points(axes):
+        vals = tuple(float(a) for a in combo)
         point = ", ".join(f"{n}={v!r}" for n, v in zip(names, vals))
         try:
             sc = sweep.template
             for name, v in zip(names, vals):
                 sc = _with_field(sc, name, v)
-            _, rows = run_scenario(sc)
-            if len(rows) != 1:
+            _, result = run_scenario(sc)
+            if len(result) != 1:
                 raise ValueError("sweeps require single-row scenario modes")
-            return rows[0]
         except Exception as exc:
             raise type(exc)(f"sweep point ({point}): {exc}") from exc
-
-    results = [None] * len(points)
-    workers = threads or default_threads()
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(evaluate, vals): i for i, vals in points}
-        for fut in concurrent.futures.as_completed(futures):
-            results[futures[fut]] = fut.result()
-    base_header = HEADERS[sweep.template.mode]
-    header = list(names) + [c for c in base_header if c not in names]
-    keep = [i for i, c in enumerate(base_header) if c not in names]
-    rows = [list(vals) + [results[i][k] for k in keep] for i, vals in points]
+        rows.append(list(vals) + [result[0][k] for k in keep])
     return header, rows
 
 
@@ -316,13 +302,6 @@ def _grid_points(axes):
                 yield (a, b)
 
 
-def default_threads() -> int:
-    env = os.environ.get("CHIRPQFI_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # figure presets
 
@@ -334,7 +313,7 @@ def _exponential(mod="none", gamma_t=4.0, **kw):
     return PulseSpec("exponential", gamma_t, mod, **kw)
 
 
-def _preset_fig3(out_dir, threads):
+def _preset_fig3(out_dir):
     """Asymptotic classical information vs duration; linear phase vs real pulse."""
     curves = {
         "real": _gaussian(),
@@ -345,7 +324,7 @@ def _preset_fig3(out_dir, threads):
     for name, pulse in curves.items():
         sc = Scenario(pulse, SystemParams(gamma=1.0), mode="asymptotic")
         sw = SweepSpec(sc, (("gamma_t", 0.5, 8.0, 16),))
-        header, rows = run_sweep(sw, threads)
+        header, rows = run_sweep(sw)
         path = os.path.join(out_dir, f"fig3_{name}.csv")
         files.append((path, header, rows))
         blocks.append({**scenario_to_config(sc), "sweep": "gamma_t=0.5:8.0:16", "output": os.path.basename(path)})
@@ -353,7 +332,7 @@ def _preset_fig3(out_dir, threads):
 
 
 def _finite_time_preset(tag, pulses, gammas, t_start, t_stop, t_count):
-    def build(out_dir, threads):
+    def build(out_dir):
         blocks, files = [], []
         for gname, gamma in gammas:
             for name, pulse in pulses.items():
@@ -368,13 +347,13 @@ def _finite_time_preset(tag, pulses, gammas, t_start, t_stop, t_count):
 
 
 def _sweep_preset(tag, pulse_curves, gammas, lo=0.25, hi=8.0, count=24):
-    def build(out_dir, threads):
+    def build(out_dir):
         blocks, files = [], []
         for gname, gamma in gammas:
             for name, pulse in pulse_curves.items():
                 sc = Scenario(pulse, SystemParams(gamma=gamma), mode="asymptotic")
                 sw = SweepSpec(sc, (("gamma_t", lo, hi, count),))
-                header, rows = run_sweep(sw, threads)
+                header, rows = run_sweep(sw)
                 path = os.path.join(out_dir, f"{tag}_{name}_{gname}.csv")
                 files.append((path, header, rows))
                 blocks.append({**scenario_to_config(sc), "sweep": f"gamma_t={lo}:{hi}:{count}",
@@ -383,7 +362,7 @@ def _sweep_preset(tag, pulse_curves, gammas, lo=0.25, hi=8.0, count=24):
     return build
 
 
-def _preset_fig8(out_dir, threads):
+def _preset_fig8(out_dir):
     """Mode-counting information ratio vs truncation, Hermite-Gauss modes."""
     curves = {
         "real": _gaussian(gamma_t=2.5),
@@ -433,12 +412,12 @@ PRESETS = {
 }
 
 
-def figure_preset(name: str, out_dir: str, threads: int = None) -> list:
+def figure_preset(name: str, out_dir: str) -> list:
     """Write all CSVs and the manifest for one named figure; returns file paths."""
     if name not in PRESETS:
         raise UnknownPreset(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     os.makedirs(out_dir, exist_ok=True)
-    blocks, files = PRESETS[name](out_dir, threads)
+    blocks, files = PRESETS[name](out_dir)
     digest = write_manifest(os.path.join(out_dir, f"{name}_manifest.json"), name, blocks)
     written = []
     for path, header, rows in files:
@@ -481,7 +460,12 @@ def _add_scenario_flags(parser):
     parser.add_argument("--basis", choices=["hg", "envelope"])
     parser.add_argument("--j_max", type=int)
     parser.add_argument("--out", default="out.csv", help="output CSV path")
-    parser.add_argument("--threads", type=int, default=None)
+    _add_threads_flag(parser)
+
+
+def _add_threads_flag(parser):
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted and ignored; sweeps run serially")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     preset_p = sub.add_parser("preset", help="emit the data behind one figure")
     preset_p.add_argument("name", help=f"one of {sorted(PRESETS)}")
     preset_p.add_argument("--out-dir", default="preset_out")
-    preset_p.add_argument("--threads", type=int, default=None)
+    _add_threads_flag(preset_p)
     return parser
 
 
@@ -519,13 +503,13 @@ def main(argv=None) -> int:
                 raise ValueError("sweep command needs --sweep field=start:stop:count")
             sc = scenario_from_config(cfg)
             sweep = SweepSpec(sc, tuple(parse_sweep_field(t) for t in sweep_texts))
-            header, rows = run_sweep(sweep, args.threads)
+            header, rows = run_sweep(sweep)
             block = {**scenario_to_config(sc),
                      **{f"sweep{i or ''}": t for i, t in enumerate(sweep_texts) if i == 0},
                      **({"sweep2": sweep_texts[1]} if len(sweep_texts) > 1 else {})}
             _emit(args.out, header, rows, [block])
         else:
-            paths = figure_preset(args.name, args.out_dir, args.threads)
+            paths = figure_preset(args.name, args.out_dir)
             for p in paths:
                 print(p)
         return 0

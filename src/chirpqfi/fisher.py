@@ -3,8 +3,8 @@
 The information in the outgoing light splits into a classical part (the
 vacuum/photon outcome) and a quantum part (the surviving distorted
 wavepacket).  Finite-time values are assembled from time-domain inner
-products of the scattering amplitudes; asymptotic values from
-frequency-domain quadratures over the pulse spectral density; and two
+products of the scattering amplitudes; asymptotic values from two spectral
+moments of the system response over the pulse spectral density; and two
 families of analytic transcriptions serve as cross-checking oracles.
 
 All reported values are dimensionless (coupling-squared times the raw
@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModel, NodeMismatch, Underflow, VacuumOnly
-from .dynamics import SystemParams, Trajectory, excited_amplitude, loss_probability
+from .dynamics import (
+    SystemParams,
+    Trajectory,
+    characteristic_function,
+    excited_amplitude,
+    loss_probability,
+)
 from .numerics import (
     Grid,
     cumulative_trapezoid,
@@ -89,20 +95,25 @@ def classical_fi(p: float, dp: float) -> float:
     machine scale (the physical limit along the family); raises
     DegenerateModel for a boundary probability with surviving derivative.
     """
-    boundary = p < P_FLOOR or 1.0 - p < P_FLOOR
-    if boundary:
-        if abs(dp) < DP_FLOOR:
-            return 0.0
-        raise DegenerateModel(f"p={p} at boundary with dp={dp}")
-    return dp * dp / (p * (1.0 - p))
+    return float(_classical_info(p, dp))
 
 
-def _classical_curve(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    denom = p * (1.0 - p)
-    safe = denom > P_FLOOR
-    out = np.zeros_like(p)
-    out[safe] = dp[safe] ** 2 / denom[safe]
-    return out
+def _classical_info(p, dp) -> np.ndarray:
+    """Elementwise classical information under classical_fi's boundary rule.
+
+    A node with p or 1-p below P_FLOOR carries 0 if |dp| < DP_FLOOR; any
+    other boundary node raises DegenerateModel naming the first such node.
+    """
+    p = np.asarray(p, dtype=float)
+    dp = np.asarray(dp, dtype=float)
+    boundary = (p < P_FLOOR) | (1.0 - p < P_FLOOR)
+    bad = np.flatnonzero(boundary & ~(np.abs(dp) < DP_FLOOR))
+    if bad.size:
+        i = bad[0]
+        node = f" at node {i}" if p.ndim else ""
+        raise DegenerateModel(f"p={p.flat[i]} at boundary with dp={dp.flat[i]}{node}")
+    interior = np.where(boundary, 0.5, p)
+    return np.where(boundary, 0.0, dp * dp / (interior * (1.0 - interior)))
 
 
 def pure_qfi(state: np.ndarray, d_state: np.ndarray, weight: float,
@@ -143,9 +154,8 @@ def finite_time_curve(pulse: SampledPulse, params: SystemParams,
     scattered = pulse.values + sg * excited.value
     dd = cumulative_trapezoid(np.abs(deriv) ** 2, dt).real
     sd = cumulative_trapezoid(np.conj(scattered) * deriv, dt)
-    one_minus_p = np.clip(1.0 - loss.p, 1e-15, None)
-    quantum = 4.0 * dd - 4.0 * np.abs(sd) ** 2 / one_minus_p
-    classical = _classical_curve(loss.p, loss.dp)
+    quantum = 4.0 * dd - 4.0 * np.abs(sd) ** 2 / (1.0 - loss.p)
+    classical = _classical_info(loss.p, loss.dp)
     scale = g * g
     return FisherCurve(pulse.grid, scale * classical, scale * quantum,
                        scale * (classical + quantum), loss.p)
@@ -161,7 +171,7 @@ def finite_time_qfi(pulse: SampledPulse, params: SystemParams,
         raise NodeMismatch(str(exc)) from None
 
 
-def _resolve_density(pulse_spectrum, params=None) -> SpectralDensity:
+def _resolve_density(pulse_spectrum) -> SpectralDensity:
     if isinstance(pulse_spectrum, SpectralDensity):
         return pulse_spectrum
     if isinstance(pulse_spectrum, PulseSpec):
@@ -179,38 +189,46 @@ def _line_integral(fn, density: SpectralDensity, params: SystemParams, rel_tol: 
                                points=density.breaks)
 
 
+def _late_time_terms(pulse_spectrum, params: SystemParams, rel_tol: float):
+    """(p, dp, <d|d>, <s|d>) of the late-time state from two spectral moments.
+
+    Every late-time integrand is a polynomial in the Lorentzian response f
+    and its conjugate, and f*conj(f) = c (f + conj(f)) with
+    c = sqrt(G)/(G + G_perp), so all four reduce to the moments
+    m_n = int f^n |xi~|^2 d omega for n = 1, 2.
+    """
+    density = _resolve_density(pulse_spectrum)
+    g = params.coupling
+    sg = math.sqrt(g)
+    c = sg / (g + params.gamma_perp)
+
+    def response(w):
+        return characteristic_function(params, w)[0]
+
+    m1 = _line_integral(response, density, params, rel_tol)
+    m2 = _line_integral(lambda w: response(w) ** 2, density, params, rel_tol)
+    A = 2.0 * c * m1.real   # int |f|^2 rho
+    B = c * m2 + c * A      # int |f|^2 f rho
+    p = params.gamma_perp * A
+    dp = params.gamma_perp * (A / g - B.real / sg)
+    dd = (4.0 * A - 4.0 * sg * B.real + 2.0 * g * c * c * (m2.real + A)) / (4.0 * g)
+    sd = -(2.0 * m1 - sg * m2 - 2.0 * sg * A + g * B) / (2.0 * sg)
+    return p, dp, dd, sd
+
+
 def asymptotic_qfi(pulse_spectrum, params: SystemParams,
                    rel_tol: float = 1e-10) -> FisherBreakdown:
     """Late-time information breakdown from the pulse spectral density.
 
     pulse_spectrum may be a SpectralDensity or a PulseSpec (in which case
     its density is constructed on the fly).  The vacuum probability, its
-    derivative, and the two quantum inner products are each a single
-    frequency quadrature against |xi~(omega)|^2.
+    derivative, and the two quantum inner products all follow from two
+    frequency quadratures against |xi~(omega)|^2.
     """
-    density = _resolve_density(pulse_spectrum)
-    g = params.coupling
-    sg = math.sqrt(g)
-    gp = params.gamma_perp
-
-    def f_of(w):
-        return sg / (0.5 * (g + gp) - 1j * (np.asarray(w, dtype=float) - params.detuning))
-
-    if gp > 0.0:
-        p = gp * _line_integral(lambda w: np.abs(f_of(w)) ** 2, density, params, rel_tol).real
-        dp = gp * _line_integral(
-            lambda w: np.abs(f_of(w)) ** 2 * (1.0 / g - f_of(w).real / sg),
-            density, params, rel_tol).real
-        classical = classical_fi(p, dp)
-    else:
-        p, dp, classical = 0.0, 0.0, 0.0
-    dd = _line_integral(lambda w: np.abs(f_of(w) * (2.0 - sg * f_of(w))) ** 2 / (4.0 * g),
-                        density, params, rel_tol).real
-    sd = _line_integral(
-        lambda w: -(1.0 - sg * np.conj(f_of(w))) * f_of(w) * (2.0 - sg * f_of(w)) / (2.0 * sg),
-        density, params, rel_tol)
+    p, dp, dd, sd = _late_time_terms(pulse_spectrum, params, rel_tol)
+    classical = classical_fi(p, dp)
     quantum = 4.0 * dd - 4.0 * abs(sd) ** 2 / (1.0 - p)
-    scale = g * g
+    scale = params.coupling * params.coupling
     return FisherBreakdown(scale * classical, scale * quantum,
                            scale * (classical + quantum), p)
 
@@ -283,26 +301,10 @@ def spectral_overlap(pulse_spectrum, params: SystemParams,
     """Overlap of the normalized outgoing photon with its coupling derivative.
 
     Vanishes exactly for pulses whose spectral density is symmetric about
-    the resonance; its real part must vanish for any pulse (normalization),
-    so the returned value is a numerical-residual diagnostic as well.
+    the resonance.  Its real part vanishes for any pulse (normalization);
+    the moment algebra keeps that identity, so the real part is rounding
+    only and does not measure quadrature error.
     """
-    density = _resolve_density(pulse_spectrum)
-    g = params.coupling
-    sg = math.sqrt(g)
-    gp = params.gamma_perp
-
-    def f_of(w):
-        return sg / (0.5 * (g + gp) - 1j * (np.asarray(w, dtype=float) - params.detuning))
-
-    sd = _line_integral(
-        lambda w: -(1.0 - sg * np.conj(f_of(w))) * f_of(w) * (2.0 - sg * f_of(w)) / (2.0 * sg),
-        density, params, rel_tol)
-    if gp > 0.0:
-        p = gp * _line_integral(lambda w: np.abs(f_of(w)) ** 2, density, params, rel_tol).real
-        dp = gp * _line_integral(
-            lambda w: np.abs(f_of(w)) ** 2 * (1.0 / g - f_of(w).real / sg),
-            density, params, rel_tol).real
-    else:
-        p, dp = 0.0, 0.0
+    p, dp, _, sd = _late_time_terms(pulse_spectrum, params, rel_tol)
     overlap = (sd + 0.5 * dp) / (1.0 - p)
     return OverlapReport(complex(overlap), bool(abs(overlap) < tol))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import erfcx as _erfcx
 
 from .errors import EdgeLeakage, GridMismatch, InvalidInterval, NonConvergence
@@ -273,6 +272,8 @@ def evolve_driven_decay(rate: complex, drive: np.ndarray, grid: Grid) -> np.ndar
         raise GridMismatch(f"drive has shape {drive.shape}, grid has {grid.n_points} nodes")
     if rate.real < 0:
         raise ValueError(f"require Re(rate) >= 0, got {rate}")
+    from scipy.signal import lfilter  # here, not at the top: importing scipy.signal takes ~1 s
+
     h = grid.dt
     a, c0, c1 = _step_coefficients(complex(rate) * h)
     u = np.empty(grid.n_points, dtype=complex)

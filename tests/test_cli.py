@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -102,7 +105,7 @@ def test_run_scenario_finite_time_rows_before_onset_are_zero():
 def test_run_sweep_ordering_and_values():
     sc = Scenario(PulseSpec("gaussian", 1.0), SystemParams(gamma=5.0), mode="asymptotic")
     sweep = SweepSpec(sc, (("gamma_t", 0.5, 2.0, 4),))
-    header, rows = run_sweep(sweep, threads=2)
+    header, rows = run_sweep(sweep)
     assert header[0] == "gamma_t"
     swept = [row[0] for row in rows]
     assert swept == sorted(swept)
@@ -113,7 +116,7 @@ def test_run_sweep_ordering_and_values():
 def test_run_sweep_two_fields():
     sc = Scenario(PulseSpec("gaussian", 1.0), SystemParams(gamma=1.0), mode="closed_form")
     sweep = SweepSpec(sc, (("gamma_t", 1.0, 2.0, 2), ("gamma", 0.0, 5.0, 2)))
-    header, rows = run_sweep(sweep, threads=2)
+    header, rows = run_sweep(sweep)
     assert header[:2] == ["gamma_t", "gamma"]
     assert len(rows) == 4
     assert [tuple(r[:2]) for r in rows] == [(1.0, 0.0), (1.0, 5.0), (2.0, 0.0), (2.0, 5.0)]
@@ -121,16 +124,16 @@ def test_run_sweep_two_fields():
 
 def test_sweep_failure_names_the_offending_point():
     sc = Scenario(PulseSpec("gaussian", 1.0), SystemParams(gamma=1.0), mode="closed_form")
-    # either of the two invalid points may surface first from the pool
-    with pytest.raises(ValueError, match=r"sweep point \(delta=(0\.5|1\.0)\)"):
-        run_sweep(SweepSpec(sc, (("delta", 0.0, 1.0, 3),)), threads=2)
+    # points run in grid order, so the first invalid point is the one named
+    with pytest.raises(ValueError, match=r"sweep point \(delta=0\.5\)"):
+        run_sweep(SweepSpec(sc, (("delta", 0.0, 1.0, 3),)))
 
 
 def test_sweep_rejects_multi_row_modes():
     sc = Scenario(PulseSpec("gaussian", 1.0), SystemParams(), mode="finite_time",
                   t_start=0.0, t_stop=5.0, t_count=6)
     with pytest.raises(ValueError):
-        run_sweep(SweepSpec(sc, (("gamma_t", 1.0, 2.0, 2),)), threads=1)
+        run_sweep(SweepSpec(sc, (("gamma_t", 1.0, 2.0, 2),)))
 
 
 def test_closed_form_requires_supported_family():
@@ -229,8 +232,7 @@ def test_run_sweep_runs_each_point_once(monkeypatch):
 
     monkeypatch.setattr(cli, "run_scenario", counting)
     sc = Scenario(PulseSpec("gaussian", 1.0), SystemParams(gamma=1.0), mode="closed_form")
-    header, rows = run_sweep(SweepSpec(sc, (("gamma_t", 1.0, 2.0, 2), ("gamma", 0.0, 5.0, 3))),
-                             threads=2)
+    header, rows = run_sweep(SweepSpec(sc, (("gamma_t", 1.0, 2.0, 2), ("gamma", 0.0, 5.0, 3))))
     assert len(calls) == len(rows) == 6
     assert header == ["gamma_t", "gamma", "delta", "classical", "quantum", "total", "p_loss"]
 
@@ -246,7 +248,7 @@ def test_cli_sweep_and_manifest_round_trip(tmp_path):
     block = manifest["scenarios"][0]
     sweep_text = block.pop("sweep")
     sc = scenario_from_config(block)
-    header, rows = run_sweep(SweepSpec(sc, (parse_sweep_field(sweep_text),)), threads=1)
+    header, rows = run_sweep(SweepSpec(sc, (parse_sweep_field(sweep_text),)))
     _, _, csv_rows = _read_csv(out)
     regenerated = [[float(x) for x in row] for row in csv_rows]
     assert np.allclose(regenerated, [[float(v) for v in r] for r in rows], rtol=0, atol=0)
@@ -266,13 +268,27 @@ def test_cli_mode_cfi_scenario(tmp_path):
     assert ratios == sorted(ratios)  # monotone in the truncation
 
 
-def test_env_var_thread_fallback(monkeypatch):
-    from chirpqfi.cli import default_threads
+def test_threads_flag_is_ignored(tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}" / "sweep.csv"
+        out.parent.mkdir()
+        rc = main(["sweep", "--envelope", "gaussian", "--gamma_t", "1.0", "--gamma", "5.0",
+                   "--mode", "asymptotic", "--sweep", "gamma_t=0.5:1.5:3",
+                   "--out", str(out), "--threads", threads])
+        assert rc == 0
+        outputs.append((out.read_bytes(), (out.parent / "sweep.manifest.json").read_bytes()))
+    assert outputs[0] == outputs[1]
 
-    monkeypatch.setenv("CHIRPQFI_THREADS", "3")
-    assert default_threads() == 3
-    monkeypatch.delenv("CHIRPQFI_THREADS")
-    assert default_threads() >= 1
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is only needed by the time-domain solve; importing it
+    # costs about a second of every CLI start-up
+    code = "import sys, chirpqfi.cli; print('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_unknown_preset(tmp_path):
@@ -281,7 +297,7 @@ def test_unknown_preset(tmp_path):
 
 
 def test_fig8_preset_emits_both_ratio_conventions(tmp_path):
-    paths = figure_preset("fig8", str(tmp_path), threads=2)
+    paths = figure_preset("fig8", str(tmp_path))
     assert len(paths) == 4
     sin_csv = next(p for p in paths if "sinusoidal" in p)
     _, header, rows = _read_csv(sin_csv)
@@ -294,7 +310,7 @@ def test_fig8_preset_emits_both_ratio_conventions(tmp_path):
 
 
 def test_fig3_preset_contents(tmp_path):
-    paths = figure_preset("fig3", str(tmp_path), threads=2)
+    paths = figure_preset("fig3", str(tmp_path))
     assert len(paths) == 3
     manifest = json.loads((tmp_path / "fig3_manifest.json").read_text())
     assert manifest["preset"] == "fig3"

@@ -16,7 +16,8 @@ from chirpqfi.fisher import (
     pure_qfi,
     spectral_overlap,
 )
-from chirpqfi.pulses import PulseSpec, default_grid, sample_pulse
+from chirpqfi.numerics import integrate_real_line
+from chirpqfi.pulses import PulseSpec, default_grid, sample_pulse, spectral_density
 from goldens import EXPONENTIAL_ASYMPTOTIC, GAUSSIAN_ASYMPTOTIC
 
 
@@ -28,6 +29,23 @@ def test_classical_fi_values():
         classical_fi(0.0, 0.1)
     with pytest.raises(DegenerateModel):
         classical_fi(1.0, -0.1)
+
+
+def test_classical_rule_is_shared_by_scalar_and_curve_form():
+    from chirpqfi.fisher import _classical_info
+
+    p = np.array([0.0, 1e-15, 1.0, 0.3, 0.9, 0.5])
+    dp = np.array([0.0, 5e-13, -1e-13, 0.2, -0.7, 1.0])
+    out = _classical_info(p, dp)
+    assert out[:3].tolist() == [0.0, 0.0, 0.0]
+    assert out.tolist() == [classical_fi(x, y) for x, y in zip(p, dp)]
+    assert out[3] == 0.2 * 0.2 / (0.3 * 0.7)
+    bad_p, bad_dp = p.copy(), dp.copy()
+    bad_p[4], bad_dp[4] = 1.0, 1e-12
+    with pytest.raises(DegenerateModel, match="at node 4"):
+        _classical_info(bad_p, bad_dp)
+    with pytest.raises(DegenerateModel, match="at node 0"):
+        _classical_info(np.array([0.0, 0.5]), np.array([0.1, 0.1]))
 
 
 def test_pure_qfi_definition():
@@ -106,6 +124,50 @@ def test_asymptotic_resolves_well_separated_sidebands():
     params = SystemParams(gamma=0.0)
     late = finite_time_curve(sample_pulse(spec, default_grid(spec)), params).total[-1]
     assert abs(asymptotic_qfi(spec, params).total - late) < 1e-6
+
+
+def _four_quadrature_reference(spec, params, rel_tol=1e-12):
+    """(p, dp, <d|d>, <s|d>) as four separate whole-line quadratures, one per
+    integrand, with the Lorentzian response written out independently."""
+    density = spectral_density(spec)
+    g = params.coupling
+    sg = math.sqrt(g)
+    gp = params.gamma_perp
+
+    def f_of(w):
+        return sg / (0.5 * (g + gp) - 1j * (w - params.detuning))
+
+    def line(fn):
+        scale = max(density.scale, 0.5 * (1.0 + params.gamma) * g)
+        return integrate_real_line(lambda w: fn(w) * density(w), center=density.center,
+                                   scale=scale, rel_tol=rel_tol, points=density.breaks)
+
+    p = gp * line(lambda w: np.abs(f_of(w)) ** 2).real
+    dp = gp * line(lambda w: np.abs(f_of(w)) ** 2 * (1.0 / g - f_of(w).real / sg)).real
+    dd = line(lambda w: np.abs(f_of(w) * (2.0 - sg * f_of(w))) ** 2 / (4.0 * g)).real
+    sd = line(lambda w: -(1.0 - sg * np.conj(f_of(w))) * f_of(w) * (2.0 - sg * f_of(w))
+              / (2.0 * sg))
+    return p, dp, dd, sd
+
+
+@pytest.mark.parametrize("spec", [
+    PulseSpec("exponential", 4.0, "quadratic", k=1.0),
+    PulseSpec("exponential", 4.0, "quadratic", k=-1.0),
+    PulseSpec("gaussian", 2.0, "sinusoidal", omega=1.0),
+    PulseSpec("exponential", 4.0, "sinusoidal", omega=1.0),
+], ids=["exp-quadratic+", "exp-quadratic-", "gauss-sinusoidal", "exp-sinusoidal"])
+def test_moment_route_matches_four_quadrature_reference(spec):
+    # families without a closed form, off resonance and lossy
+    params = SystemParams(gamma=2.0, delta=0.3)
+    p, dp, dd, sd = _four_quadrature_reference(spec, params)
+    classical = dp * dp / (p * (1.0 - p))
+    quantum = 4.0 * dd - 4.0 * abs(sd) ** 2 / (1.0 - p)
+    bd = asymptotic_qfi(spec, params)
+    assert bd.p_loss == pytest.approx(p, rel=1e-9)
+    assert bd.classical == pytest.approx(classical, rel=1e-9)
+    assert bd.quantum == pytest.approx(quantum, rel=1e-9)
+    overlap = (sd + 0.5 * dp) / (1.0 - p)
+    assert abs(spectral_overlap(spec, params).overlap - overlap) <= 1e-9 * abs(overlap)
 
 
 def test_asymptotic_lossless_has_no_classical_part():
