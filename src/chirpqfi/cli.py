@@ -287,7 +287,9 @@ def run_sweep(sweep: SweepSpec):
             if len(result) != 1:
                 raise ValueError("sweeps require single-row scenario modes")
         except Exception as exc:
-            raise type(exc)(f"sweep point ({point}): {exc}") from exc
+            # a note names the point and keeps the exception's type and fields
+            exc.add_note(f"sweep point ({point})")
+            raise
         rows.append(list(vals) + [result[0][k] for k in keep])
     return header, rows
 
@@ -514,7 +516,8 @@ def main(argv=None) -> int:
                 print(p)
         return 0
     except (ChirpQFIError, ValueError, OSError) as exc:
-        print(f"chirpqfi: error: {exc}", file=sys.stderr)
+        message = "; ".join([str(exc), *getattr(exc, "__notes__", ())])
+        print(f"chirpqfi: error: {message}", file=sys.stderr)
         return 1
 
 

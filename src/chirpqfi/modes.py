@@ -1,11 +1,11 @@
 """Mode-resolved measurements on the outgoing single-photon wavepacket.
 
 Builds orthonormal temporal-mode bases (Hermite-Gauss, or Gram-Schmidt
-continuations seeded by the pulse itself), projects the outgoing
-amplitudes and their coupling derivatives onto them, and evaluates the
-classical Fisher information of photon counting in those modes, of the
-noise-robust two-outcome measurement, and of the symmetric-logarithmic-
-derivative eigenbasis.
+continuations seeded by the pulse itself) as real profiles times one common
+phase, projects the outgoing amplitudes and their coupling derivatives onto
+them, and evaluates the classical Fisher information of photon counting in
+those modes, of the noise-robust two-outcome measurement, and of the
+symmetric-logarithmic-derivative eigenbasis.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ from .errors import (
 )
 from .dynamics import AmplitudePair, OutgoingWavepacket
 from .numerics import _NODE_BLOCK, Grid, _weighted_gram, inner_product, norm_sq
-from .pulses import PulseSpec, _oscillation_factor, sample_pulse
+from .pulses import PulseSpec, _oscillation_factor, _support_onset
+# unused here, but perfbench/spans.py wraps modes.sample_pulse by name
+from .pulses import sample_pulse  # noqa: F401
 
 __all__ = [
     "HermiteGauss",
@@ -67,26 +69,45 @@ class GramSchmidtFromEnvelope:
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Orthonormal mode functions g_0..g_J sampled on a common grid.
+    """Orthonormal mode functions g_j = r_j(t) e^{i phi(t)}, j = 0..J, on a common grid.
 
-    jumps records each function's step at the pulse onset node (zero for
-    smooth families); inner products against stepped functions use it to
-    stay second-order accurate.
+    profiles holds the real profiles r_j, one per row (float64), and phase
+    the common unit phase e^{i phi} of the pulse modulation, or None for
+    Hermite-Gauss and unmodulated bases, whose functions are real.  As
+    |e^{i phi}| = 1, the profiles have the inner products of the functions,
+    so they are orthonormal themselves.  profile_jumps records each
+    profile's step at the pulse onset node (zero for smooth families); since
+    phi(0) = 0 these are also the steps of the g_j.  Inner products against
+    stepped functions use them to stay second-order accurate.
     """
 
     grid: Grid
-    functions: np.ndarray
-    jumps: np.ndarray
+    profiles: np.ndarray
+    profile_jumps: np.ndarray
     kind: object
     onset_index: Optional[int] = None
+    phase: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
-        return self.functions.shape[0]
+        return self.profiles.shape[0]
+
+    @property
+    def functions(self) -> np.ndarray:
+        """The complex mode functions g_j, one per row, as a new array."""
+        if self.phase is None:
+            return self.profiles.astype(complex)
+        return self.profiles * self.phase
+
+    @property
+    def jumps(self) -> np.ndarray:
+        """The onset steps of the g_j, as a complex array."""
+        return self.profile_jumps.astype(complex)
 
     def gram_defect(self) -> float:
         """max |<g_i|g_j> - delta_ij| over the basis."""
-        gram = _weighted_gram(self.functions, self.functions, self.grid.dt, self.jumps, self.jumps)
+        gram = _weighted_gram(self.profiles, self.profiles, self.grid.dt,
+                              self.profile_jumps, self.profile_jumps)
         return float(np.max(np.abs(gram - np.eye(self.size))))
 
 
@@ -109,13 +130,11 @@ class ModalSet:
 
 
 def _hermite_gauss_functions(t: np.ndarray, duration: float, count: int) -> np.ndarray:
-    """Orthonormal Hermite-Gauss functions via the stable two-term recurrence.
-
-    Returned as a complex array so that callers can apply phases in place.
-    """
+    """Orthonormal Hermite-Gauss functions via the stable two-term recurrence,
+    one per row of a float64 array."""
     x = t / (math.sqrt(2.0) * duration)
     scale = (math.sqrt(2.0) * duration) ** -0.5
-    out = np.empty((count, len(t)), dtype=complex)
+    out = np.empty((count, len(t)))
     prev = np.zeros_like(x)
     cur = math.pi ** -0.25 * np.exp(-0.5 * x**2)
     for n in range(count):
@@ -127,10 +146,10 @@ def _hermite_gauss_functions(t: np.ndarray, duration: float, count: int) -> np.n
 
 def _laguerre_functions(t: np.ndarray, duration: float, count: int) -> np.ndarray:
     """Orthonormal Laguerre functions L_n(t/T) e^{-t/2T} / sqrt(T) on t >= 0,
-    as a complex array."""
+    one per row of a float64 array."""
     x = np.clip(t / duration, 0.0, None)
     damp = np.where(t >= 0.0, np.exp(-0.5 * x) / math.sqrt(duration), 0.0)
-    out = np.empty((count, len(t)), dtype=complex)
+    out = np.empty((count, len(t)))
     prev = np.zeros_like(x)
     cur = np.ones_like(x)
     for n in range(count):
@@ -178,8 +197,8 @@ def _failed_pivot(gram: np.ndarray) -> int:
 def _orthonormalize(funcs: np.ndarray, jumps: np.ndarray, dx: float) -> tuple:
     """CholeskyQR2 in the trapezoidal inner product; works in place.
 
-    funcs (complex, one candidate per row) and jumps are overwritten with
-    the orthonormal functions and their jumps, which are also returned.
+    funcs (real or complex, one candidate per row) and jumps are overwritten
+    with the orthonormal functions and their jumps, which are also returned.
     Each of the two passes factors the Gram matrix as L L^H and replaces
     the rows by L^-1 times them; the result is the Gram-Schmidt basis of
     the candidates in their order.  The second pass removes the rounding
@@ -216,14 +235,21 @@ def _orthonormalize(funcs: np.ndarray, jumps: np.ndarray, dx: float) -> tuple:
 def build_basis(kind, truncation: int, grid: Grid) -> ModeBasis:
     """Orthonormal basis g_0..g_J of the requested kind on the grid.
 
-    For GramSchmidtFromEnvelope, g_0 is the normalized incoming pulse and
-    the continuation functions are orthonormal-polynomial multiples of its
-    envelope carrying the same modulation phase, so the raw candidates are
-    already near-orthonormal and the Gram-Schmidt pass only absorbs the
+    Every candidate is a real profile times one common phase: Hermite-Gauss
+    functions (for HermiteGauss kinds and Gaussian envelopes) or Laguerre
+    functions (exponential envelopes), times the pulse's e^{i phi(t)} for
+    GramSchmidtFromEnvelope.  There the first profile is the real envelope
+    itself, with the midpoint value at an onset step, so g_0 is the
+    normalized incoming pulse, and the continuation functions are
+    orthonormal-polynomial multiples of the envelope carrying the same
+    modulation phase.  The phase changes no inner product, so only the real
+    profiles are orthonormalized, in float64; they are already
+    near-orthonormal and the Gram-Schmidt pass only absorbs the
     discretization residue.
 
     Raises:
-        GridTooNarrow: if the grid cannot resolve the highest mode.
+        GridTooNarrow: if the grid cannot resolve the highest mode, or misses
+            the pulse support or its onset node.
         DegenerateSeed: if a pivot collapses during orthogonalization.
     """
     if truncation < 0:
@@ -231,50 +257,55 @@ def build_basis(kind, truncation: int, grid: Grid) -> ModeBasis:
     count = truncation + 1
     t = grid.times()
     onset_index = None
+    phase = None
     if isinstance(kind, HermiteGauss):
-        node_spacing = math.sqrt(2.0) * kind.duration * math.pi / math.sqrt(2.0 * truncation + 1.0)
-        if grid.dt > node_spacing / 10.0:
-            raise GridTooNarrow(f"dt={grid.dt} too coarse for mode {truncation}")
-        funcs = _hermite_gauss_functions(t, kind.duration, count)
-        jumps = np.zeros(count, dtype=complex)
+        duration, envelope = kind.duration, "gaussian"
     elif isinstance(kind, GramSchmidtFromEnvelope):
         spec = kind.spec
-        seed = sample_pulse(spec, grid)
-        phase = np.exp(1j * spec.phase_value(t))
-        if spec.envelope == "gaussian":
-            node_spacing = math.sqrt(2.0) * spec.gamma_t * math.pi / math.sqrt(2.0 * truncation + 1.0)
-            if grid.dt > node_spacing / 10.0:
-                raise GridTooNarrow(f"dt={grid.dt} too coarse for mode {truncation}")
-            funcs = _hermite_gauss_functions(t, spec.gamma_t, count)
-            funcs *= phase
-            jumps = np.zeros(count, dtype=complex)
-        else:
-            funcs = _laguerre_functions(t, spec.gamma_t, count)
-            funcs *= phase
-            onset_index = seed.onset_index
-            # midpoint convention at the step, matching the sampled pulse
-            jumps = spec.gamma_t ** -0.5 * phase[onset_index] * np.ones(count, dtype=complex)
-            funcs[:, onset_index] = 0.5 * jumps
-        funcs[0] = seed.values
-        jumps[0] = seed.jump
+        duration, envelope = spec.gamma_t, spec.envelope
+        onset_index = _support_onset(spec, grid)
+        if spec.modulation != "none":
+            phase = np.exp(1j * spec.phase_value(t))
     else:
         raise TypeError(f"unknown basis kind {kind!r}")
-    funcs, jumps = _orthonormalize(funcs, jumps, grid.dt)
-    return ModeBasis(grid, funcs, jumps, kind, onset_index)
+    if envelope == "gaussian":
+        node_spacing = math.sqrt(2.0) * duration * math.pi / math.sqrt(2.0 * truncation + 1.0)
+        if grid.dt > node_spacing / 10.0:
+            raise GridTooNarrow(f"dt={grid.dt} too coarse for mode {truncation}")
+        profiles = _hermite_gauss_functions(t, duration, count)
+        jumps = np.zeros(count)
+    else:
+        profiles = _laguerre_functions(t, duration, count)
+        # midpoint convention at the step, matching the sampled pulse
+        jumps = np.full(count, duration ** -0.5)
+        profiles[:, onset_index] = 0.5 * jumps
+    profiles, jumps = _orthonormalize(profiles, jumps, grid.dt)
+    return ModeBasis(grid, profiles, jumps, kind, onset_index, phase)
 
 
 def project_amplitudes(outgoing: OutgoingWavepacket, basis: ModeBasis) -> ModalSet:
     """Modal amplitudes b_j = <g_j|psi> and derivatives d_j = <g_j|dpsi>.
 
-    The vacuum probability and its derivative are taken from the same
-    wavepacket (p = 1 - <psi|psi>, dp = -2 Re<psi|dpsi>), so the outcome
-    distributions built from the result are normalized by construction.
+    With g_j = r_j e^{i phi}, b_j = <r_j|e^{-i phi} psi>: the phase turns the
+    two wavepacket vectors once, and one real matrix product against their
+    real and imaginary parts gives b and d together.  The vacuum probability
+    and its derivative are taken from the same wavepacket (p = 1 - <psi|psi>,
+    dp = -2 Re<psi|dpsi>), so the outcome distributions built from the
+    result are normalized by construction.
     """
     if basis.grid != outgoing.grid:
         raise GridMismatch("basis and wavepacket live on different grids")
     dx = outgoing.grid.dt
-    b = _weighted_gram(basis.functions, outgoing.values, dx, basis.jumps, outgoing.jump)
-    d = _weighted_gram(basis.functions, outgoing.d_values, dx, basis.jumps, 0.0)
+    pair = np.stack([outgoing.values, outgoing.d_values])
+    if basis.phase is not None:
+        pair *= np.conj(basis.phase)
+    # four real rows, so that the profiles are never promoted to complex;
+    # phi(0) = 0 leaves the onset step of psi unturned
+    jump = complex(outgoing.jump)
+    proj = _weighted_gram(basis.profiles, np.concatenate([pair.real, pair.imag]), dx,
+                          basis.profile_jumps, np.array([jump.real, 0.0, jump.imag, 0.0]))
+    b = proj[:, 0] + 1j * proj[:, 2]
+    d = proj[:, 1] + 1j * proj[:, 3]
     nn = norm_sq(outgoing.values, dx, outgoing.jump)
     dp = -2.0 * inner_product(outgoing.values, outgoing.d_values, dx, outgoing.jump, 0.0).real
     return ModalSet(b, d, AmplitudePair(1.0 - nn, dp))

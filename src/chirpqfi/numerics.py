@@ -348,14 +348,16 @@ def _weighted_gram(u: np.ndarray, v: np.ndarray, dx: float, jumps_u, jumps_v) ->
     with the endpoint half-weights removed as a rank-2 correction, and the
     onset jumps add the rank-1 term (dx/4) conj(J_u) J_v, which vanishes
     wherever either jump is zero.  Summed block by block over nodes so that
-    no full-size conjugate or weighted copy is made.
+    no full-size conjugate or weighted copy is made; real rows of u are used
+    as they are, without the copy that conjugating them would make.
     """
     n = u.shape[-1]
+    conj = np.conj if np.iscomplexobj(u) else np.asarray
     acc = 0.0
     for s in range(0, n, _NODE_BLOCK):
-        acc = acc + np.conj(u[:, s:s + _NODE_BLOCK]) @ v[..., s:s + _NODE_BLOCK].T
+        acc = acc + conj(u[:, s:s + _NODE_BLOCK]) @ v[..., s:s + _NODE_BLOCK].T
     ends = [0, n - 1]
-    acc = acc - 0.5 * (np.conj(u[:, ends]) @ v[..., ends].T)
+    acc = acc - 0.5 * (conj(u[:, ends]) @ v[..., ends].T)
     return dx * (acc + 0.25 * np.multiply.outer(np.conj(jumps_u), jumps_v))
 
 

@@ -173,8 +173,8 @@ def spectral_grid(spec: PulseSpec, points_per_unit: int = None) -> Grid:
     return Grid(-n_left * dt, n_right * dt, n_left + n_right + 1)
 
 
-def sample_pulse(spec: PulseSpec, grid: Grid) -> SampledPulse:
-    """Sample xi(t) on the grid and normalize to unit discrete L2 norm.
+def _support_onset(spec: PulseSpec, grid: Grid) -> Optional[int]:
+    """Check that the grid holds the pulse; return its onset node (None if smooth).
 
     Raises:
         GridTooNarrow: if the grid misses the required support (within
@@ -193,15 +193,25 @@ def sample_pulse(spec: PulseSpec, grid: Grid) -> SampledPulse:
             raise GridTooNarrow(
                 f"grid [{grid.t_start}, {grid.t_end}] does not cover [0, {12.0 * T}]"
             )
-    t = grid.times()
-    values = spec.evaluate(t).astype(complex)
+    if spec.onset is None:
+        return None
+    try:
+        return grid.index_of(spec.onset)
+    except ValueError:
+        raise GridTooNarrow("step-envelope onset t=0 must coincide with a grid node")
+
+
+def sample_pulse(spec: PulseSpec, grid: Grid) -> SampledPulse:
+    """Sample xi(t) on the grid and normalize to unit discrete L2 norm.
+
+    Raises:
+        GridTooNarrow: if the grid misses the pulse support or, for step
+            envelopes, the onset node (see _support_onset).
+    """
+    onset_index = _support_onset(spec, grid)
+    values = spec.evaluate(grid.times()).astype(complex)
     jump = 0.0 + 0.0j
-    onset_index = None
-    if spec.onset is not None:
-        try:
-            onset_index = grid.index_of(spec.onset)
-        except ValueError:
-            raise GridTooNarrow("step-envelope onset t=0 must coincide with a grid node")
+    if onset_index is not None:
         # store the mean of the one-sided limits at the step
         jump = complex(spec.evaluate(np.array(0.0)))
         values[onset_index] = 0.5 * jump

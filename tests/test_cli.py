@@ -122,11 +122,36 @@ def test_run_sweep_two_fields():
     assert [tuple(r[:2]) for r in rows] == [(1.0, 0.0), (1.0, 5.0), (2.0, 0.0), (2.0, 5.0)]
 
 
-def test_sweep_failure_names_the_offending_point():
+def test_sweep_failure_names_the_offending_point(tmp_path, capsys):
     sc = Scenario(PulseSpec("gaussian", 1.0), SystemParams(gamma=1.0), mode="closed_form")
     # points run in grid order, so the first invalid point is the one named
-    with pytest.raises(ValueError, match=r"sweep point \(delta=0\.5\)"):
+    with pytest.raises(ValueError, match="requires zero detuning") as info:
         run_sweep(SweepSpec(sc, (("delta", 0.0, 1.0, 3),)))
+    assert info.value.__notes__ == ["sweep point (delta=0.5)"]
+    code = main(["sweep", "--envelope", "gaussian", "--gamma_t", "1.0", "--gamma", "1.0",
+                 "--mode", "closed_form", "--sweep", "delta=0:1:3", "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == ("chirpqfi: error: Gaussian closed form requires zero "
+                                       "detuning; sweep point (delta=0.5)\n")
+
+
+class _TwoFieldError(ValueError):
+    def __init__(self, node, value):
+        super().__init__(f"node {node} has value {value}")
+        self.node = node
+        self.value = value
+
+
+def test_sweep_failure_keeps_exception_type_and_fields(monkeypatch):
+    def fail(sc):
+        raise _TwoFieldError(3, sc.pulse.gamma_t)
+
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    sc = Scenario(PulseSpec("gaussian", 1.0), SystemParams(gamma=1.0), mode="closed_form")
+    with pytest.raises(_TwoFieldError) as info:
+        run_sweep(SweepSpec(sc, (("gamma_t", 2.0, 3.0, 2),)))
+    assert (info.value.node, info.value.value) == (3, 2.0)
+    assert info.value.__notes__ == ["sweep point (gamma_t=2.0)"]
 
 
 def test_sweep_rejects_multi_row_modes():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chirpqfi import modes
+from chirpqfi import cli, modes
 from chirpqfi.dynamics import (
     AmplitudePair,
     OutgoingWavepacket,
@@ -31,7 +31,7 @@ from chirpqfi.modes import (
     project_amplitudes,
     sld_eigenbasis,
 )
-from chirpqfi.numerics import Grid, inner_product, norm_sq
+from chirpqfi.numerics import Grid, _weighted_gram, inner_product, norm_sq
 from chirpqfi.pulses import PulseSpec, sample_pulse
 
 
@@ -138,6 +138,66 @@ def test_project_amplitudes_matches_inner_product_loop():
     assert np.max(np.abs(modal.derivatives - d)) < 1e-12
 
 
+_MODULATIONS = {"none": {}, "linear": {"alpha": 0.7}, "quadratic": {"k": 0.3},
+                "sinusoidal": {"omega": 1.3}}
+
+
+def _check_real_profile_basis(spec, kind):
+    """Real float64 profiles times one phase, orthonormal as complex functions,
+    and projections equal to the per-mode inner_product loop."""
+    _, out = _outgoing(spec, SystemParams(gamma=2.0, delta=0.3), 25, kind)
+    grid, dx = out.grid, out.grid.dt
+    basis = build_basis(kind, 25, grid)
+    assert basis.profiles.dtype == np.float64 and basis.profile_jumps.dtype == np.float64
+    functions, jumps = basis.functions, basis.jumps
+    phase = 1.0 if basis.phase is None else basis.phase
+    assert np.array_equal(functions, basis.profiles * phase)
+    assert np.array_equal(jumps, basis.profile_jumps)
+    assert basis.gram_defect() <= 1e-12
+    gram = _weighted_gram(functions, functions, dx, jumps, jumps)
+    assert np.max(np.abs(gram - np.eye(26))) <= 1e-12
+    b = [inner_product(g, out.values, dx, jg, out.jump) for g, jg in zip(functions, jumps)]
+    d = [inner_product(g, out.d_values, dx, jg, 0.0) for g, jg in zip(functions, jumps)]
+    modal = project_amplitudes(out, basis)
+    assert np.max(np.abs(modal.amplitudes - b)) <= 1e-12
+    assert np.max(np.abs(modal.derivatives - d)) <= 1e-12
+    return basis, out
+
+
+def test_hermite_gauss_basis_is_real():
+    spec = PulseSpec("gaussian", 1.5, "quadratic", k=0.3)
+    basis, _ = _check_real_profile_basis(spec, HermiteGauss(1.5))
+    assert basis.phase is None
+
+
+@pytest.mark.parametrize("modulation", list(_MODULATIONS))
+@pytest.mark.parametrize("envelope", ["gaussian", "exponential"])
+def test_envelope_basis_is_real_profiles_times_the_pulse_phase(envelope, modulation):
+    spec = PulseSpec(envelope, 1.5, modulation, **_MODULATIONS[modulation])
+    basis, out = _check_real_profile_basis(spec, GramSchmidtFromEnvelope(spec))
+    assert (basis.phase is None) == (modulation == "none")
+    seed = sample_pulse(spec, out.grid)  # g_0 is the normalized pulse, phase included
+    assert np.max(np.abs(basis.functions[0] - seed.values)) < 1e-12
+    assert abs(basis.jumps[0] - seed.jump) < 1e-12
+    if envelope == "exponential":
+        assert np.all(basis.profile_jumps != 0.0)  # the onset-jump term is exercised
+
+
+def test_cli_orthonormalizes_real_candidates(monkeypatch):
+    dtypes = []
+
+    def capture(funcs, jumps, dx):
+        dtypes.append((funcs.dtype, jumps.dtype))
+        return _orthonormalize(funcs, jumps, dx)
+
+    monkeypatch.setattr(modes, "_orthonormalize", capture)
+    for basis in ("hg", "envelope"):
+        sc = cli.Scenario(PulseSpec("exponential", 1.0, "quadratic", k=0.5), SystemParams(gamma=5.0),
+                          mode="mode_cfi", basis=basis, j_max=4)
+        cli.run_scenario(sc)
+    assert dtypes == [(np.float64, np.float64)] * 2
+
+
 def test_nearly_dependent_candidates_name_the_pivot():
     # the factorization succeeds, but the third pivot is 1e-7 of its norm
     grid = Grid(-10.0, 10.0, 4001)
@@ -151,7 +211,7 @@ def test_orthonormalize_works_in_place_and_accepts_independent_candidates():
     grid = Grid(-10.0, 10.0, 4001)
     hg = modes._hermite_gauss_functions(grid.times(), 1.0, 3)
     funcs = np.stack([hg[0], hg[1], hg[0] + 1e-4 * hg[2]])
-    jumps = np.zeros(3, complex)
+    jumps = np.zeros(3)  # real, like the Hermite-Gauss candidates
     out, out_jumps = _orthonormalize(funcs, jumps, grid.dt)
     assert out is funcs and out_jumps is jumps  # documented: overwrites its arguments
     assert np.max(np.abs(funcs - hg)) < 1e-10
