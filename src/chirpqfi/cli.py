@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -39,9 +40,20 @@ from .modes import (
     outcome_distribution,
     project_amplitudes,
 )
-from .pulses import PulseSpec, bandwidth, default_grid, pulse_from_config, pulse_to_config, sample_pulse
+from .pulses import (
+    _CONFIG_KEYS as PULSE_KEYS,
+    ENVELOPES,
+    MODULATIONS,
+    PulseSpec,
+    bandwidth,
+    default_grid,
+    pulse_from_config,
+    pulse_to_config,
+    sample_pulse,
+)
 
 MODES = ("asymptotic", "finite_time", "mode_cfi", "closed_form")
+BASES = ("hg", "envelope")
 SWEEPABLE = ("gamma_t", "alpha", "k", "omega", "gamma", "delta")
 _SPECTRAL_HEADER = ("gamma_t", "gamma", "delta", "classical", "quantum", "total", "p_loss")
 # column header of each mode's table, shared by run_scenario and run_sweep
@@ -51,6 +63,23 @@ HEADERS = {
     "finite_time": ("t", "classical", "quantum", "total", "p_loss"),
     "mode_cfi": ("j", "mode_cfi", "qfi", "ratio", "conditional_cumulative_ratio"),
 }
+# every scenario key with its argparse options, in flag order: the pulse keys
+# (a repeated key keeps its place), the system keys, then the Scenario fields;
+# a key without a type is a string
+SCENARIO_KEYS = {
+    **dict.fromkeys(PULSE_KEYS, {"type": float}),
+    "envelope": {"choices": ENVELOPES},
+    "modulation": {"choices": MODULATIONS},
+    "gamma": {"type": float},
+    "delta": {"type": float},
+    "mode": {"choices": MODES},
+    "t_start": {"type": float},
+    "t_stop": {"type": float},
+    "t_count": {"type": int},
+    "basis": {"choices": BASES},
+    "j_max": {"type": int},
+}
+SWEEP_KEYS = ("sweep", "sweep2")
 
 
 @dataclass(frozen=True)
@@ -71,7 +100,7 @@ class Scenario:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "finite_time" and not (self.t_count >= 2 and self.t_start < self.t_stop):
             raise ValueError("finite_time needs t_start < t_stop and t_count >= 2")
-        if self.basis not in ("hg", "envelope"):
+        if self.basis not in BASES:
             raise ValueError(f"unknown basis {self.basis!r}")
         if self.j_max < 0:
             raise ValueError(f"j_max must be >= 0, got {self.j_max}")
@@ -93,20 +122,15 @@ def scenario_to_config(sc: Scenario) -> dict:
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
-    pulse_keys = ("envelope", "gamma_t", "modulation", "alpha", "k", "omega")
-    pulse = pulse_from_config({k: v for k, v in cfg.items() if k in pulse_keys})
+    """Scenario of a flat config; sweep texts are allowed and ignored."""
+    pulse = pulse_from_config({k: v for k, v in cfg.items() if k in PULSE_KEYS})
     params = SystemParams(gamma=float(cfg.get("gamma", 0.0)), delta=float(cfg.get("delta", 0.0)))
-    extras = {}
-    for key, cast in (("t_start", float), ("t_stop", float), ("t_count", int),
-                      ("basis", str), ("j_max", int)):
-        if key in cfg:
-            extras[key] = cast(cfg[key])
-    known = set(pulse_keys) | {"gamma", "delta", "mode", "sweep", "sweep2",
-                               "t_start", "t_stop", "t_count", "basis", "j_max"}
-    unknown = set(cfg) - known
+    fields = {key: options.get("type", str)(cfg[key]) for key, options in SCENARIO_KEYS.items()
+              if key in cfg and key not in (*PULSE_KEYS, "gamma", "delta")}
+    unknown = set(cfg) - set(SCENARIO_KEYS) - set(SWEEP_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return Scenario(pulse, params, mode=str(cfg.get("mode", "asymptotic")), **extras)
+    return Scenario(pulse, params, **fields)
 
 
 def parse_config_text(text: str) -> dict:
@@ -257,14 +281,24 @@ def write_manifest(path: str, preset: Optional[str], scenario_blocks) -> str:
     return digest
 
 
-def _emit(path: str, header, rows, scenario_blocks, preset=None) -> None:
-    """Write the manifest, then the CSV; a failed CSV also removes its manifest."""
-    manifest = os.path.splitext(path)[0] + ".manifest.json"
-    digest = write_manifest(manifest, preset, scenario_blocks)
+def write_outputs(manifest: str, preset: Optional[str], blocks, tables) -> None:
+    """Write the manifest of the blocks, then each (path, header, rows) table as a CSV.
+
+    If any write fails, every file this call wrote is removed.
+    """
+    written = []
     try:
-        write_csv(path, header, rows, [f"chirpqfi {__version__}", f"config_hash: {digest}"])
+        digest = write_manifest(manifest, preset, blocks)
+        written.append(manifest)
+        comments = [f"chirpqfi {__version__}", f"config_hash: {digest}"]
+        if preset is not None:
+            comments.append(f"preset: {preset}")
+        for path, header, rows in tables:
+            write_csv(path, header, rows, comments)
+            written.append(path)
     except BaseException:
-        os.remove(manifest)
+        for path in written:
+            os.remove(path)
         raise
 
 
@@ -276,7 +310,7 @@ def run_sweep(sweep: SweepSpec):
     header = list(names) + [c for c in base_header if c not in names]
     keep = [i for i, c in enumerate(base_header) if c not in names]
     rows = []
-    for combo in _grid_points(axes):
+    for combo in itertools.product(*axes):
         vals = tuple(float(a) for a in combo)
         point = ", ".join(f"{n}={v!r}" for n, v in zip(names, vals))
         try:
@@ -294,14 +328,17 @@ def run_sweep(sweep: SweepSpec):
     return header, rows
 
 
-def _grid_points(axes):
-    if len(axes) == 1:
-        for a in axes[0]:
-            yield (a,)
-    else:
-        for a in axes[0]:
-            for b in axes[1]:
-                yield (a, b)
+def run_block(block: dict):
+    """Table of one manifest block; returns (header, rows).
+
+    A block is a scenario's flat config plus, for a sweep table, its `sweep`
+    (and `sweep2`) texts; a preset block also names its `output` file.
+    """
+    sc = scenario_from_config({k: v for k, v in block.items() if k != "output"})
+    texts = [block[key] for key in SWEEP_KEYS if key in block]
+    if not texts:
+        return run_scenario(sc)
+    return run_sweep(SweepSpec(sc, tuple(parse_sweep_field(t) for t in texts)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,71 +352,20 @@ def _exponential(mod="none", gamma_t=4.0, **kw):
     return PulseSpec("exponential", gamma_t, mod, **kw)
 
 
-def _preset_fig3(out_dir):
-    """Asymptotic classical information vs duration; linear phase vs real pulse."""
-    curves = {
-        "real": _gaussian(),
-        "linear_half": _gaussian("linear", alpha=0.5),
-        "linear_one": _gaussian("linear", alpha=1.0),
-    }
-    blocks, files = [], []
-    for name, pulse in curves.items():
-        sc = Scenario(pulse, SystemParams(gamma=1.0), mode="asymptotic")
-        sw = SweepSpec(sc, (("gamma_t", 0.5, 8.0, 16),))
-        header, rows = run_sweep(sw)
-        path = os.path.join(out_dir, f"fig3_{name}.csv")
-        files.append((path, header, rows))
-        blocks.append({**scenario_to_config(sc), "sweep": "gamma_t=0.5:8.0:16", "output": os.path.basename(path)})
-    return blocks, files
+def _preset(tag, pulses, gammas, sweep=None, **fields):
+    """Manifest blocks of one figure: every named pulse at every (suffix, gamma) pair.
 
-
-def _finite_time_preset(tag, pulses, gammas, t_start, t_stop, t_count):
-    def build(out_dir):
-        blocks, files = [], []
-        for gname, gamma in gammas:
-            for name, pulse in pulses.items():
-                sc = Scenario(pulse, SystemParams(gamma=gamma), mode="finite_time",
-                              t_start=t_start, t_stop=t_stop, t_count=t_count)
-                header, rows = run_scenario(sc)
-                path = os.path.join(out_dir, f"{tag}_{name}_{gname}.csv")
-                files.append((path, header, rows))
-                blocks.append({**scenario_to_config(sc), "output": os.path.basename(path)})
-        return blocks, files
-    return build
-
-
-def _sweep_preset(tag, pulse_curves, gammas, lo=0.25, hi=8.0, count=24):
-    def build(out_dir):
-        blocks, files = [], []
-        for gname, gamma in gammas:
-            for name, pulse in pulse_curves.items():
-                sc = Scenario(pulse, SystemParams(gamma=gamma), mode="asymptotic")
-                sw = SweepSpec(sc, (("gamma_t", lo, hi, count),))
-                header, rows = run_sweep(sw)
-                path = os.path.join(out_dir, f"{tag}_{name}_{gname}.csv")
-                files.append((path, header, rows))
-                blocks.append({**scenario_to_config(sc), "sweep": f"gamma_t={lo}:{hi}:{count}",
-                               "output": os.path.basename(path)})
-        return blocks, files
-    return build
-
-
-def _preset_fig8(out_dir):
-    """Mode-counting information ratio vs truncation, Hermite-Gauss modes."""
-    curves = {
-        "real": _gaussian(gamma_t=2.5),
-        "linear": _gaussian("linear", gamma_t=2.5, alpha=1.0),
-        "quadratic": _gaussian("quadratic", gamma_t=2.5, k=1.0),
-        "sinusoidal": _gaussian("sinusoidal", gamma_t=2.5, omega=1.0),
-    }
-    blocks, files = [], []
-    for name, pulse in curves.items():
-        sc = Scenario(pulse, SystemParams(gamma=5.0), mode="mode_cfi", basis="hg", j_max=25)
-        header, rows = run_scenario(sc)
-        path = os.path.join(out_dir, f"fig8_{name}.csv")
-        files.append((path, header, rows))
-        blocks.append({**scenario_to_config(sc), "output": os.path.basename(path)})
-    return blocks, files
+    Each block is one table, written to `{tag}_{name}_{suffix}.csv` (without
+    the suffix when it is empty); a sweep text makes every table a sweep.
+    """
+    blocks = []
+    for suffix, gamma in gammas:
+        for name, pulse in pulses.items():
+            sc = Scenario(pulse, SystemParams(gamma=gamma), **fields)
+            output = "_".join(part for part in (tag, name, suffix) if part) + ".csv"
+            blocks.append({**scenario_to_config(sc), **({"sweep": sweep} if sweep else {}),
+                           "output": output})
+    return blocks
 
 
 _GAUSS4 = {
@@ -393,40 +379,52 @@ _EXP7 = {
     "linear": _exponential("linear", alpha=1.0),
     "quadratic": _exponential("quadratic", k=1.0),
 }
+_G0_G5 = (("g0", 0.0), ("g5", 5.0))
+_DURATIONS = "gamma_t=0.25:8.0:24"
 
+# each preset is the list of its manifest blocks
 PRESETS = {
-    "fig3": _preset_fig3,
-    "fig4": _finite_time_preset("fig4", _GAUSS4, (("g0", 0.0), ("g5", 5.0)), -20.0, 40.0, 121),
-    "fig5": _sweep_preset("fig5", {
+    # asymptotic classical information vs duration; linear phase vs real pulse
+    "fig3": _preset("fig3", {
+        "real": _gaussian(),
+        "linear_half": _gaussian("linear", alpha=0.5),
+        "linear_one": _gaussian("linear", alpha=1.0),
+    }, (("", 1.0),), "gamma_t=0.5:8.0:16"),
+    "fig4": _preset("fig4", _GAUSS4, _G0_G5, mode="finite_time",
+                    t_start=-20.0, t_stop=40.0, t_count=121),
+    "fig5": _preset("fig5", {
         "real": _gaussian(),
         "linear": _gaussian("linear", alpha=1.0),
         "quadratic": _gaussian("quadratic", k=1.0),
         "sinusoidal": _gaussian("sinusoidal", omega=1.0),
-    }, (("g5", 5.0),)),
-    "fig5c": _sweep_preset("fig5c", {
+    }, (("g5", 5.0),), _DURATIONS),
+    "fig5c": _preset("fig5c", {
         "real": _gaussian(),
         "sinusoidal_one": _gaussian("sinusoidal", omega=1.0),
         "sinusoidal_two": _gaussian("sinusoidal", omega=2.0),
-    }, (("g0", 0.0),)),
-    "fig6": _sweep_preset("fig6", _EXP7, (("g0", 0.0), ("g5", 5.0))),
-    "fig7": _finite_time_preset("fig7", _EXP7, (("g0", 0.0), ("g5", 5.0)), -2.0, 40.0, 106),
-    "fig8": _preset_fig8,
+    }, (("g0", 0.0),), _DURATIONS),
+    "fig6": _preset("fig6", _EXP7, _G0_G5, _DURATIONS),
+    "fig7": _preset("fig7", _EXP7, _G0_G5, mode="finite_time",
+                    t_start=-2.0, t_stop=40.0, t_count=106),
+    # mode-counting information ratio vs truncation, Hermite-Gauss modes
+    "fig8": _preset("fig8", {
+        "real": _gaussian(gamma_t=2.5),
+        "linear": _gaussian("linear", gamma_t=2.5, alpha=1.0),
+        "quadratic": _gaussian("quadratic", gamma_t=2.5, k=1.0),
+        "sinusoidal": _gaussian("sinusoidal", gamma_t=2.5, omega=1.0),
+    }, (("", 5.0),), mode="mode_cfi", basis="hg", j_max=25),
 }
 
 
 def figure_preset(name: str, out_dir: str) -> list:
-    """Write all CSVs and the manifest for one named figure; returns file paths."""
+    """Write all CSVs and the manifest for one named figure; returns the CSV paths."""
     if name not in PRESETS:
         raise UnknownPreset(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     os.makedirs(out_dir, exist_ok=True)
-    blocks, files = PRESETS[name](out_dir)
-    digest = write_manifest(os.path.join(out_dir, f"{name}_manifest.json"), name, blocks)
-    written = []
-    for path, header, rows in files:
-        write_csv(path, header, rows, [f"chirpqfi {__version__}", f"config_hash: {digest}",
-                                       f"preset: {name}"])
-        written.append(path)
-    return written
+    blocks = PRESETS[name]
+    tables = [(os.path.join(out_dir, block["output"]), *run_block(block)) for block in blocks]
+    write_outputs(os.path.join(out_dir, f"{name}_manifest.json"), name, blocks, tables)
+    return [path for path, _, _ in tables]
 
 
 # ---------------------------------------------------------------------------
@@ -437,30 +435,14 @@ def _load_config(args) -> dict:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config_text(fh.read())
-    overrides = {k: v for k, v in vars(args).items()
-                 if k in ("envelope", "gamma_t", "modulation", "alpha", "k", "omega",
-                          "gamma", "delta", "mode", "t_start", "t_stop", "t_count",
-                          "basis", "j_max") and v is not None}
-    cfg.update({k: str(v) for k, v in overrides.items()})
+    cfg.update({k: str(v) for k, v in vars(args).items() if k in SCENARIO_KEYS and v is not None})
     return cfg
 
 
 def _add_scenario_flags(parser):
     parser.add_argument("--config", help="flat key=value scenario file")
-    parser.add_argument("--envelope", choices=["gaussian", "exponential"])
-    parser.add_argument("--gamma_t", type=float)
-    parser.add_argument("--modulation", choices=["none", "linear", "quadratic", "sinusoidal"])
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--k", type=float)
-    parser.add_argument("--omega", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--mode", choices=list(MODES))
-    parser.add_argument("--t_start", type=float)
-    parser.add_argument("--t_stop", type=float)
-    parser.add_argument("--t_count", type=int)
-    parser.add_argument("--basis", choices=["hg", "envelope"])
-    parser.add_argument("--j_max", type=int)
+    for key, options in SCENARIO_KEYS.items():
+        parser.add_argument(f"--{key}", **options)
     parser.add_argument("--out", default="out.csv", help="output CSV path")
     _add_threads_flag(parser)
 
@@ -492,28 +474,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = _load_config(args)
-            sc = scenario_from_config(cfg)
-            header, rows = run_scenario(sc)
-            _emit(args.out, header, rows, [scenario_to_config(sc)])
-        elif args.command == "sweep":
-            cfg = _load_config(args)
-            sweep_texts = [t for t in (args.sweep or cfg.pop("sweep", None),
-                                       args.sweep2 or cfg.pop("sweep2", None)) if t]
-            if not sweep_texts:
+        if args.command == "preset":
+            for path in figure_preset(args.name, args.out_dir):
+                print(path)
+            return 0
+        cfg = _load_config(args)
+        texts = []
+        if args.command == "sweep":
+            texts = [t for t in (args.sweep or cfg.get("sweep"), args.sweep2 or cfg.get("sweep2")) if t]
+            if not texts:
                 raise ValueError("sweep command needs --sweep field=start:stop:count")
-            sc = scenario_from_config(cfg)
-            sweep = SweepSpec(sc, tuple(parse_sweep_field(t) for t in sweep_texts))
-            header, rows = run_sweep(sweep)
-            block = {**scenario_to_config(sc),
-                     **{f"sweep{i or ''}": t for i, t in enumerate(sweep_texts) if i == 0},
-                     **({"sweep2": sweep_texts[1]} if len(sweep_texts) > 1 else {})}
-            _emit(args.out, header, rows, [block])
-        else:
-            paths = figure_preset(args.name, args.out_dir)
-            for p in paths:
-                print(p)
+        # a run ignores the sweep lines of its config file
+        block = {**scenario_to_config(scenario_from_config(cfg)), **dict(zip(SWEEP_KEYS, texts))}
+        header, rows = run_block(block)
+        write_outputs(os.path.splitext(args.out)[0] + ".manifest.json", None, [block],
+                      [(args.out, header, rows)])
         return 0
     except (ChirpQFIError, ValueError, OSError) as exc:
         message = "; ".join([str(exc), *getattr(exc, "__notes__", ())])

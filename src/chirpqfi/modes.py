@@ -27,7 +27,7 @@ from .errors import (
 )
 from .dynamics import AmplitudePair, OutgoingWavepacket
 from .numerics import _NODE_BLOCK, Grid, _weighted_gram, inner_product, norm_sq
-from .pulses import PulseSpec, _oscillation_factor, _support_onset
+from .pulses import PulseSpec, _oscillation_factor, _support_onset, _zero_node_grid
 # unused here, but perfbench/spans.py wraps modes.sample_pulse by name
 from .pulses import sample_pulse  # noqa: F401
 
@@ -169,7 +169,6 @@ def modal_grid(spec: PulseSpec, truncation: int, kind=None, tail: float = 60.0) 
     T = spec.gamma_t
     hg_T = kind.duration if isinstance(kind, HermiteGauss) else T
     ppu = int(math.ceil(400 * _oscillation_factor(spec)))
-    dt = min(1.0, T) / ppu
     if spec.envelope == "gaussian" or isinstance(kind, HermiteGauss):
         ext = math.sqrt(2.0) * hg_T * (math.sqrt(2.0 * truncation + 1.0) + 3.0) + 2.0
     else:
@@ -179,9 +178,7 @@ def modal_grid(spec: PulseSpec, truncation: int, kind=None, tail: float = 60.0) 
     else:
         left = max(1.0, ext) if isinstance(kind, HermiteGauss) else 1.0
         right = max(12.0 * T + tail, ext)
-    n_left = int(math.ceil(left / dt - 1e-12))
-    n_right = int(math.ceil(right / dt - 1e-12))
-    return Grid(-n_left * dt, n_right * dt, n_left + n_right + 1)
+    return _zero_node_grid(T, ppu, left, right)
 
 
 def _failed_pivot(gram: np.ndarray) -> int:

@@ -129,6 +129,14 @@ def _oscillation_factor(spec: PulseSpec) -> float:
     return max(1.0, rate / 3.0)
 
 
+def _zero_node_grid(gamma_t: float, points_per_unit: int, left: float, right: float) -> Grid:
+    """Grid of spacing min(1, gamma_t)/points_per_unit over [-left, right], with t = 0 on a node."""
+    dt = min(1.0, gamma_t) / points_per_unit
+    n_left = int(math.ceil(left / dt - 1e-12))
+    n_right = int(math.ceil(right / dt - 1e-12))
+    return Grid(-n_left * dt, n_right * dt, n_left + n_right + 1)
+
+
 def default_grid(spec: PulseSpec, tail: float = 60.0, points_per_unit: int = None) -> Grid:
     """Grid covering the pulse support plus a decay tail of `tail` time units.
 
@@ -142,14 +150,11 @@ def default_grid(spec: PulseSpec, tail: float = 60.0, points_per_unit: int = Non
     if points_per_unit is None:
         base = 400 if spec.envelope == "gaussian" else 800
         points_per_unit = int(math.ceil(base * _oscillation_factor(spec)))
-    dt = min(1.0, T) / points_per_unit
     if spec.envelope == "gaussian":
         left, right = 10.0 * T, 10.0 * T + tail
     else:
         left, right = 1.0, 12.0 * T + tail
-    n_left = int(math.ceil(left / dt - 1e-12))
-    n_right = int(math.ceil(right / dt - 1e-12))
-    return Grid(-n_left * dt, n_right * dt, n_left + n_right + 1)
+    return _zero_node_grid(T, points_per_unit, left, right)
 
 
 def spectral_grid(spec: PulseSpec, points_per_unit: int = None) -> Grid:
@@ -163,14 +168,11 @@ def spectral_grid(spec: PulseSpec, points_per_unit: int = None) -> Grid:
     T = spec.gamma_t
     if points_per_unit is None:
         points_per_unit = 400 if spec.envelope == "gaussian" else 1600
-    dt = min(1.0, T) / points_per_unit
     if spec.envelope == "gaussian":
         left = right = 10.0 * T
     else:
         left, right = 1.0, 42.0 * T + 2.0
-    n_left = int(math.ceil(left / dt - 1e-12))
-    n_right = int(math.ceil(right / dt - 1e-12))
-    return Grid(-n_left * dt, n_right * dt, n_left + n_right + 1)
+    return _zero_node_grid(T, points_per_unit, left, right)
 
 
 def _support_onset(spec: PulseSpec, grid: Grid) -> Optional[int]:

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from chirpqfi import cli
@@ -15,6 +14,7 @@ from chirpqfi.cli import (
     main,
     parse_config_text,
     parse_sweep_field,
+    run_block,
     run_scenario,
     run_sweep,
     scenario_from_config,
@@ -262,21 +262,31 @@ def test_run_sweep_runs_each_point_once(monkeypatch):
     assert header == ["gamma_t", "gamma", "delta", "classical", "quantum", "total", "p_loss"]
 
 
-def test_cli_sweep_and_manifest_round_trip(tmp_path):
-    out = tmp_path / "sweep.csv"
-    rc = main(["sweep", "--envelope", "gaussian", "--gamma_t", "1.0", "--gamma", "5.0",
-               "--mode", "asymptotic", "--sweep", "gamma_t=0.5:1.5:3",
-               "--out", str(out), "--threads", "2"])
-    assert rc == 0
-    manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
-    assert manifest["tool_version"]
-    block = manifest["scenarios"][0]
-    sweep_text = block.pop("sweep")
-    sc = scenario_from_config(block)
-    header, rows = run_sweep(SweepSpec(sc, (parse_sweep_field(sweep_text),)))
-    _, _, csv_rows = _read_csv(out)
-    regenerated = [[float(x) for x in row] for row in csv_rows]
-    assert np.allclose(regenerated, [[float(v) for v in r] for r in rows], rtol=0, atol=0)
+def _replays(block, csv_path):
+    """Whether run_block regenerates the header and every row of the CSV byte for byte."""
+    header, rows = run_block(block)
+    _, csv_header, csv_rows = _read_csv(csv_path)
+    return (csv_header, csv_rows) == (header, [[cli._format(v) for v in row] for row in rows])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--envelope", "gaussian", "--gamma_t", "1.0", "--gamma", "5.0",
+     "--mode", "asymptotic", "--sweep", "gamma_t=0.5:1.5:3", "--threads", "2"],
+    ["sweep", "--envelope", "gaussian", "--gamma_t", "1.0", "--gamma", "1.0",
+     "--mode", "closed_form", "--sweep", "gamma_t=1:2:2", "--sweep2", "gamma=0:5:3"],
+    ["run", "--envelope", "exponential", "--gamma_t", "2.0", "--modulation", "linear",
+     "--alpha", "0.5", "--gamma", "2.0", "--mode", "finite_time", "--t_start", "-1",
+     "--t_stop", "10", "--t_count", "12"],
+], ids=["sweep-one-field", "sweep-two-fields", "run-finite-time"])
+def test_cli_sweep_and_manifest_round_trip(tmp_path, argv):
+    out = tmp_path / "table.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "table.manifest.json").read_text())
+    assert manifest["tool_version"] and manifest["preset"] is None
+    [block] = manifest["scenarios"]
+    assert [key for key in ("sweep", "sweep2") if key in block] == \
+        [flag[2:] for flag in argv if flag.startswith("--sweep")]
+    assert _replays(block, out)
 
 
 def test_cli_mode_cfi_scenario(tmp_path):
@@ -332,6 +342,9 @@ def test_fig8_preset_emits_both_ratio_conventions(tmp_path):
     assert 0.0 <= float(at20[3]) <= 1.0 + 1e-9
     manifest = json.loads((tmp_path / "fig8_manifest.json").read_text())
     assert len(manifest["scenarios"]) == 4
+    for block, path in zip(manifest["scenarios"], paths):
+        assert os.path.join(str(tmp_path), block["output"]) == path
+        assert _replays(block, path)
 
 
 def test_fig3_preset_contents(tmp_path):
@@ -343,3 +356,24 @@ def test_fig3_preset_contents(tmp_path):
     _, header, rows = _read_csv(paths[0])
     assert len(rows) == 16
     assert header[0] == "gamma_t"
+    for block, path in zip(manifest["scenarios"], paths):
+        assert os.path.join(str(tmp_path), block["output"]) == path
+        assert _replays(block, path)
+
+
+def test_preset_failed_write_removes_its_files(tmp_path, monkeypatch):
+    write_csv = cli.write_csv
+    calls = []
+
+    def fail_second(path, header, rows, comments):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write_csv(path, header, rows, comments)
+
+    monkeypatch.setattr(cli, "write_csv", fail_second)
+    out_dir = tmp_path / "fig3"
+    with pytest.raises(OSError, match="disk full"):
+        figure_preset("fig3", str(out_dir))
+    assert len(calls) == 2
+    assert list(out_dir.iterdir()) == []

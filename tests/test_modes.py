@@ -323,6 +323,23 @@ def test_two_outcome_povm_saturation_and_orthogonality():
     assert norm_sq(phi_minus, dx) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_two_outcome_povm_accepts_modal_coordinates():
+    # at J=25 the Hermite-Gauss modes have captured the state and its
+    # derivative, so the modal route must reproduce the grid route
+    spec = PulseSpec("gaussian", 2.5)
+    params = SystemParams(gamma=5.0)
+    kind = HermiteGauss(2.5)
+    _, out = _outgoing(spec, params, 25, kind)
+    qfi = _grid_total_qfi(out)
+    modal = project_amplitudes(out, build_basis(kind, 25, out.grid))
+    phi_plus, phi_minus, cfi = optimal_two_outcome_povm(modal, qfi)
+    _, _, grid_cfi = optimal_two_outcome_povm(out, qfi)
+    assert cfi == pytest.approx(grid_cfi, rel=1e-10)
+    assert phi_plus.shape == phi_minus.shape == (26,)
+    gram = [[np.vdot(u, v) for v in (phi_plus, phi_minus)] for u in (phi_plus, phi_minus)]
+    assert np.allclose(gram, np.eye(2), rtol=0, atol=1e-12)
+
+
 def test_two_outcome_povm_rejects_asymmetric_pulse():
     spec = PulseSpec("exponential", 4.0, "quadratic", k=1.0)
     params = SystemParams(gamma=5.0)
