@@ -6,7 +6,10 @@ expressions with 60-digit mpmath arithmetic, well beyond double precision,
 so the frozen literals in tests/goldens.py act as an independent oracle for
 the float transcriptions in chirpqfi.fisher.  The same arithmetic evaluates
 the spectral amplitudes that chirpqfi.pulses.spectrum_closed_form computes
-with a double-precision Faddeeva function and a truncated Bessel sum.
+with a double-precision Faddeeva function and a truncated Bessel sum, and
+the late-time moments of the chirped exponential, which chirpqfi.fisher
+takes from the pulse autocorrelation on a rotated lag ray (a 30-digit
+frequency-line quadrature; about two minutes).
 
 Usage:
     python scripts/generate_goldens.py > tests/goldens.py
@@ -90,6 +93,62 @@ def chirped_exponential_amplitude(gt, k, w):
     return mp.sqrt(mp.pi / p) / 2 * mp.exp(z**2) * mp.erfc(z) / mp.sqrt(2 * mp.pi * T)
 
 
+def chirped_exponential_moments(gt, k, gamma, delta):
+    """Late-time moments m_n = int f^n |xi~|^2 d omega, n = 1, 2, of the chirped exponential.
+
+    Frequency-line integrals at coupling 1, with f = 1/(a - i(w - delta)),
+    a = (1 + gamma)/2, and the complex-erfc amplitude above, in 30-digit
+    arithmetic.  Gauss-Legendre panels grow geometrically away from the
+    spectral onset at 0 and the response peak at delta; across the
+    stationary-phase band (w on the side opposite to k) each panel holds
+    at most two periods 4 pi |k|/|w| of the Fresnel ripple, out to where the
+    band weight e^{-|w|/(2|k|T)} reaches e^{-36}.  mp.quad takes the smooth
+    algebraic tails beyond.  16 nodes per panel agree with 24 to 22 digits.
+    """
+    with mp.workdps(30):
+        T, k, D = mp.mpf(gt), mp.mpf(k), mp.mpf(delta)
+        a = (1 + mp.mpf(gamma)) / 2
+        s = mp.sign(k)
+        h0 = min(a, 1 / (2 * T), mp.sqrt(abs(k))) / 4
+        band = 72 * abs(k) * T
+        reach = 40 + abs(D)
+
+        def width(w):
+            h = max(h0, min(abs(w), abs(w - D)) / 4)
+            if s * w < 0:
+                h = min(h, 8 * mp.pi * abs(k) / abs(w))
+            return min(h, mp.mpf(1))
+
+        def edges(sign, stop):
+            out, w = [mp.mpf(0)], mp.mpf(0)
+            while abs(w) < stop:
+                w += sign * width(w)
+                out.append(w)
+            return out
+
+        lo = edges(-1, band if s > 0 else reach)
+        hi = edges(1, reach if s > 0 else band)
+        grid = lo[::-1] + hi[1:]
+        X, W = mp.gauss_quadrature(16, "legendre")
+
+        def moments_of(w):
+            f = 1 / (a - 1j * (w - D))
+            rho = abs(chirped_exponential_amplitude(gt, k, w)) ** 2
+            return f * rho, f * f * rho
+
+        m1 = m2 = mp.mpf(0)
+        for u, v in zip(grid[:-1], grid[1:]):
+            mid, half = (u + v) / 2, (v - u) / 2
+            for x, wt in zip(X, W):
+                t1, t2 = moments_of(mid + half * x)
+                m1 += half * wt * t1
+                m2 += half * wt * t2
+        for tail in ([-mp.inf, grid[0]], [grid[-1], mp.inf]):
+            m1 += mp.quad(lambda w: moments_of(w)[0], tail)
+            m2 += mp.quad(lambda w: moments_of(w)[1], tail)
+        return m1, m2
+
+
 def sinusoidal_amplitude(envelope, gt, omega, w, terms=40):
     """Jacobi-Anger sum sum_n J_n(1) xi~0(w + n Omega) of the phase sin(Omega t)."""
     return mp.fsum(mp.besselj(n, 1) * envelope_amplitude(envelope, gt, mp.mpf(w) + n * mp.mpf(omega))
@@ -151,6 +210,16 @@ def emit():
                 v = sinusoidal_amplitude(envelope, gt, om, w)
                 print(f"    ({envelope!r}, {float(mp.mpf(gt))}, {float(mp.mpf(om))}, {float(mp.mpf(w))}): "
                       f"{_complex(v)},")
+    print("}")
+    print()
+    print("# (gamma_t, k, gamma, delta) -> (m_1, m_2) = int f^n |xi~|^2 d omega at coupling 1 for the")
+    print("# exponential pulse with phase k t^2; 30-digit frequency-line quadrature")
+    print("EXPONENTIAL_QUADRATIC_MOMENTS = {")
+    for gt, k, gamma, delta in (("8", "1", "0", "0"), ("1.125", "-0.7", "0", "-3"), ("2", "0.05", "5", "-3"),
+                                ("0.25", "2", "5", "1.5"), ("2", "-1", "5", "1")):
+        m1, m2 = chirped_exponential_moments(gt, k, gamma, delta)
+        key = "    (" + ", ".join(repr(float(mp.mpf(x))) for x in (gt, k, gamma, delta)) + "): ("
+        print(f"{key}{_complex(m1)},\n{' ' * len(key)}{_complex(m2)}),")
     print("}")
 
 

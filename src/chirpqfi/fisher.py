@@ -13,6 +13,7 @@ Fisher information).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,11 +31,11 @@ from .numerics import (
     Grid,
     cumulative_trapezoid,
     inner_product,
-    integrate_adaptive,  # noqa: F401 -- perfbench/spans.py times quadratures through this name
+    integrate_adaptive,  # called through this module's name, where perfbench/spans.py times it
     integrate_real_line,
     scaled_erfc,
 )
-from .pulses import PulseSpec, SampledPulse, SpectralDensity, spectral_density
+from .pulses import Autocorrelation, PulseSpec, SampledPulse, SpectralDensity, spectral_density
 
 __all__ = [
     "FisherBreakdown",
@@ -93,7 +94,8 @@ def classical_fi(p: float, dp: float) -> float:
 
     Returns 0 when the probability and its derivative both vanish at
     machine scale (the physical limit along the family); raises
-    DegenerateModel for a boundary probability with surviving derivative.
+    DegenerateModel when p(1-p) is not positive (p at or beyond 0 or 1)
+    and the derivative survives.
     """
     return float(_classical_info(p, dp))
 
@@ -101,19 +103,23 @@ def classical_fi(p: float, dp: float) -> float:
 def _classical_info(p, dp) -> np.ndarray:
     """Elementwise classical information under classical_fi's boundary rule.
 
-    A node with p or 1-p below P_FLOOR carries 0 if |dp| < DP_FLOOR; any
-    other boundary node raises DegenerateModel naming the first such node.
+    A node with p or 1-p below P_FLOOR carries 0 if |dp| < DP_FLOOR.  A node
+    whose p(1-p) is not positive raises DegenerateModel, naming the first
+    such node, unless it carries 0 by the first rule.  Every other node,
+    a boundary node with a larger derivative included (a lossless pulse
+    whose vacuum probability dips through an interference minimum), carries
+    dp^2/(p(1-p)).
     """
     p = np.asarray(p, dtype=float)
     dp = np.asarray(dp, dtype=float)
-    boundary = (p < P_FLOOR) | (1.0 - p < P_FLOOR)
-    bad = np.flatnonzero(boundary & ~(np.abs(dp) < DP_FLOOR))
+    variance = p * (1.0 - p)
+    vanishing = ((p < P_FLOOR) | (1.0 - p < P_FLOOR)) & (np.abs(dp) < DP_FLOOR)
+    bad = np.flatnonzero(~vanishing & ~(variance > 0.0))
     if bad.size:
         i = bad[0]
         node = f" at node {i}" if p.ndim else ""
         raise DegenerateModel(f"p={p.flat[i]} at boundary with dp={dp.flat[i]}{node}")
-    interior = np.where(boundary, 0.5, p)
-    return np.where(boundary, 0.0, dp * dp / (interior * (1.0 - interior)))
+    return np.where(vanishing, 0.0, dp * dp / np.where(vanishing, 1.0, variance))
 
 
 def pure_qfi(state: np.ndarray, d_state: np.ndarray, weight: float,
@@ -189,13 +195,55 @@ def _line_integral(fn, density: SpectralDensity, params: SystemParams, rel_tol: 
                                points=density.breaks)
 
 
+# e^{-40} = 4e-18: where the ray integrand's exponent reaches -40 the tail is
+# below any requested tolerance
+_RAY_EXPONENT = 40.0
+
+
+def _ray_moments(corr: Autocorrelation, params: SystemParams, rel_tol: float):
+    """(m_1, m_2) from the pulse autocorrelation, integrated along a rotated lag ray.
+
+    With a = (G + G_perp)/2, f = sqrt(G) / (a - i(omega - Delta)) is the
+    transform of sqrt(G) e^{-(a + i Delta) tau} over tau >= 0, so
+    m_1 = sqrt(G) int_0^inf e^{-(a + i Delta) tau} C(tau) d tau and
+    m_2 = G int_0^inf tau e^{-(a + i Delta) tau} C(tau) d tau.  The path
+    tau = r e^{-i theta sgn k}, theta in (0, pi/4], sweeps no pole of C (it
+    sits at i/(2kT), on the other side of the real axis), and at
+    theta = pi/4 it turns the chirp e^{-i k tau^2} into the decay
+    e^{-|k| r^2}.  For sgn(k) Delta < 0 the linear part of the exponent,
+    -(a + 1/2T + i Delta) tau, stops decaying at the angle
+    atan2(a + 1/2T, -sgn(k) Delta) < pi/2; theta is then at most half of
+    it.  Each moment is integrate_adaptive over r in [0, R], R being where
+    the real part of the exponent, -(b r + c r^2), reaches -40.
+    """
+    g = params.coupling
+    s = math.copysign(1.0, corr.k)
+    rate = 0.5 * (g + params.gamma_perp) + 1j * params.detuning
+    total = rate + corr.rate
+    theta = min(0.25 * math.pi, 0.5 * math.atan2(total.real, -s * total.imag))
+    turn = cmath.exp(-1j * s * theta)
+    b = (total * turn).real
+    c = abs(corr.k) * math.sin(2.0 * theta)
+    r_max = 2.0 * _RAY_EXPONENT / (b + math.sqrt(b * b + 4.0 * c * _RAY_EXPONENT))
+
+    def kernel(r):
+        tau = r * turn
+        return np.exp(-rate * tau) * corr(tau) * turn
+
+    m1 = math.sqrt(g) * integrate_adaptive(kernel, 0.0, r_max, rel_tol=rel_tol)
+    m2 = g * integrate_adaptive(lambda r: r * turn * kernel(r), 0.0, r_max, rel_tol=rel_tol)
+    return m1, m2
+
+
 def _late_time_terms(pulse_spectrum, params: SystemParams, rel_tol: float):
     """(p, dp, <d|d>, <s|d>) of the late-time state from two spectral moments.
 
     Every late-time integrand is a polynomial in the Lorentzian response f
     and its conjugate, and f*conj(f) = c (f + conj(f)) with
     c = sqrt(G)/(G + G_perp), so all four reduce to the moments
-    m_n = int f^n |xi~|^2 d omega for n = 1, 2.
+    m_n = int f^n |xi~|^2 d omega for n = 1, 2.  A density that carries its
+    autocorrelation gives them on a rotated lag ray, any other by two
+    frequency quadratures.
     """
     density = _resolve_density(pulse_spectrum)
     g = params.coupling
@@ -205,8 +253,11 @@ def _late_time_terms(pulse_spectrum, params: SystemParams, rel_tol: float):
     def response(w):
         return characteristic_function(params, w)[0]
 
-    m1 = _line_integral(response, density, params, rel_tol)
-    m2 = _line_integral(lambda w: response(w) ** 2, density, params, rel_tol)
+    if density.autocorrelation is not None:
+        m1, m2 = _ray_moments(density.autocorrelation, params, rel_tol)
+    else:
+        m1 = _line_integral(response, density, params, rel_tol)
+        m2 = _line_integral(lambda w: response(w) ** 2, density, params, rel_tol)
     A = 2.0 * c * m1.real   # int |f|^2 rho
     B = c * m2 + c * A      # int |f|^2 f rho
     p = params.gamma_perp * A
@@ -223,7 +274,9 @@ def asymptotic_qfi(pulse_spectrum, params: SystemParams,
     pulse_spectrum may be a SpectralDensity or a PulseSpec (in which case
     its density is constructed on the fly).  The vacuum probability, its
     derivative, and the two quantum inner products all follow from two
-    frequency quadratures against |xi~(omega)|^2.
+    spectral moments: two frequency quadratures against |xi~(omega)|^2, or,
+    for the chirped exponential, two integrals of its autocorrelation along
+    a rotated lag ray.
     """
     p, dp, dd, sd = _late_time_terms(pulse_spectrum, params, rel_tol)
     classical = classical_fi(p, dp)

@@ -22,6 +22,7 @@ __all__ = [
     "PulseSpec",
     "SampledPulse",
     "SpectralDensity",
+    "Autocorrelation",
     "sample_pulse",
     "default_grid",
     "spectral_grid",
@@ -263,18 +264,45 @@ def spectrum_closed_form(spec: PulseSpec, omega):
     return np.sqrt(2.0 * T / np.pi) / (1.0 - 2j * T * w)
 
 
+@dataclass(frozen=True)
+class Autocorrelation:
+    """Pulse autocorrelation C(tau) = int xi(t) conj(xi(t + tau)) dt of the chirped exponential.
+
+    C is the Fourier transform of |xi~(omega)|^2 (Wiener-Khinchin), so it
+    carries the same information as the density.  For the exponential
+    envelope with phase k t^2 and tau >= 0 it is
+    C(tau) = e^{-tau/2T - i k tau^2} / (1 + 2ikT tau), analytic in tau
+    except for one pole at tau = i/(2kT).
+    """
+
+    gamma_t: float
+    k: float
+
+    @property
+    def rate(self) -> float:
+        """Decay rate 1/2T of |C| along the real lag axis."""
+        return 0.5 / self.gamma_t
+
+    def __call__(self, tau):
+        tau = np.asarray(tau)
+        return np.exp(-(self.rate + 1j * self.k * tau) * tau) / (1.0 + 2j * self.k * self.gamma_t * tau)
+
+
 @dataclass
 class SpectralDensity:
     """|xi~(omega)|^2 as a callable, with hints for quadrature routines.
 
     center and scale place the whole-line substitution; breaks are
     frequencies (sideband edges) at which quadrature panels start split.
+    autocorrelation, when set, is the density's Fourier transform in closed
+    form, from which the late-time moments are taken instead.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     center: float
     scale: float
     breaks: tuple = ()
+    autocorrelation: Optional[Autocorrelation] = None
     # every density is analytic on the whole line
     closed_form = True
 
@@ -287,7 +315,8 @@ def spectral_density(spec: PulseSpec) -> SpectralDensity:
 
     Normal densities for the Gaussian families, Lorentzians for the unchirped
     exponential ones, |spectrum_closed_form|^2 otherwise; the sidebands of a
-    sinusoidal phase, at -n*omega, are each bracketed by breaks.
+    sinusoidal phase, at -n*omega, are each bracketed by breaks, and the
+    chirped exponential also carries its autocorrelation.
     """
     T = spec.gamma_t
     shift = spec.alpha if spec.modulation == "linear" else 0.0
@@ -317,7 +346,8 @@ def spectral_density(spec: PulseSpec) -> SpectralDensity:
         return SpectralDensity(fn, center=0.0, scale=width, breaks=tuple(breaks))
     # chirped step pulse: stationary-phase band on the side opposite to k
     center = -math.copysign(min(2.0 * abs(spec.k) * T, 10.0), spec.k)
-    return SpectralDensity(fn, center=center, scale=max(1.0, 1.0 / T))
+    return SpectralDensity(fn, center=center, scale=max(1.0, 1.0 / T),
+                           autocorrelation=Autocorrelation(T, spec.k))
 
 
 def bandwidth(spec: PulseSpec) -> float:

@@ -289,6 +289,23 @@ def test_cli_sweep_and_manifest_round_trip(tmp_path, argv):
     assert _replays(block, out)
 
 
+def test_cli_finite_time_through_lossless_interference_dip(tmp_path):
+    # at gamma = 0 the vacuum probability |psi_e|^2 dips below 1e-14 near
+    # t = 25.1 (node 20936) while dp^2/p stays near 6e-9; the curve must pass
+    # through the dip rather than reject the whole run as a degenerate model
+    out = tmp_path / "dip.csv"
+    assert main(["run", "--envelope", "exponential", "--gamma_t", "0.998046875", "--gamma", "0",
+                 "--delta", "1", "--mode", "finite_time", "--t_start", "0", "--t_stop", "30",
+                 "--t_count", "7", "--out", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    assert header == ["t", "classical", "quantum", "total", "p_loss"]
+    values = [[float(x) for x in row] for row in rows]
+    assert len(values) == 7
+    assert all(0.0 <= c <= total for _, c, _, total, _ in values)
+    late = asymptotic_qfi(PulseSpec("exponential", 0.998046875), SystemParams(gamma=0.0, delta=1.0))
+    assert values[-1][3] == pytest.approx(late.total, rel=1e-5)
+
+
 def test_cli_mode_cfi_scenario(tmp_path):
     out = tmp_path / "modes.csv"
     rc = main(["run", "--envelope", "gaussian", "--gamma_t", "2.5", "--gamma", "5.0",

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from chirpqfi.dynamics import SystemParams
 from chirpqfi.errors import DegenerateModel, NodeMismatch, Underflow, VacuumOnly
 from chirpqfi.fisher import (
+    _ray_moments,
     asymptotic_qfi,
     classical_fi,
     exponential_linear_closed_forms,
@@ -17,8 +18,8 @@ from chirpqfi.fisher import (
     spectral_overlap,
 )
 from chirpqfi.numerics import integrate_real_line
-from chirpqfi.pulses import PulseSpec, default_grid, sample_pulse, spectral_density
-from goldens import EXPONENTIAL_ASYMPTOTIC, GAUSSIAN_ASYMPTOTIC
+from chirpqfi.pulses import Autocorrelation, PulseSpec, default_grid, sample_pulse, spectral_density
+from goldens import EXPONENTIAL_ASYMPTOTIC, EXPONENTIAL_QUADRATIC_MOMENTS, GAUSSIAN_ASYMPTOTIC
 
 
 def test_classical_fi_values():
@@ -46,6 +47,22 @@ def test_classical_rule_is_shared_by_scalar_and_curve_form():
         _classical_info(bad_p, bad_dp)
     with pytest.raises(DegenerateModel, match="at node 0"):
         _classical_info(np.array([0.0, 0.5]), np.array([0.1, 0.1]))
+
+
+def test_classical_curve_is_smooth_through_a_lossless_interference_dip():
+    # gamma = 0: the pulse and decay terms of psi_e cancel near t = 25.1, so
+    # p = |psi_e|^2 falls below P_FLOOR while |dp| stays above DP_FLOOR; the
+    # dip is an interior minimum that carries dp^2/(p(1-p)) like its neighbours
+    spec = PulseSpec("exponential", 0.998046875)
+    grid = default_grid(spec)
+    curve = finite_time_curve(sample_pulse(spec, grid), SystemParams(gamma=0.0, delta=1.0))
+    i = 20936
+    assert grid.t_start + i * grid.dt == pytest.approx(25.118, abs=1e-3)
+    assert curve.p_loss[i] < 1e-14
+    window = curve.classical[i - 10:i + 11]
+    assert np.all(np.diff(window) > 0.0)
+    assert 3.0e-9 < window[0] and window[-1] < 8.0e-9
+    assert curve.classical[i] == pytest.approx(5.840482e-9, rel=1e-5)
 
 
 def test_pure_qfi_definition():
@@ -126,6 +143,19 @@ def test_asymptotic_resolves_well_separated_sidebands():
     assert abs(asymptotic_qfi(spec, params).total - late) < 1e-6
 
 
+def _response(params):
+    """The Lorentzian response f, written out independently of chirpqfi."""
+    g = params.coupling
+    return lambda w: math.sqrt(g) / (0.5 * (g + params.gamma_perp) - 1j * (w - params.detuning))
+
+
+def _whole_line(fn, density, params, rel_tol):
+    """int fn(omega) |xi~(omega)|^2 d omega by one whole-line quadrature."""
+    scale = max(density.scale, 0.5 * (1.0 + params.gamma) * params.coupling)
+    return integrate_real_line(lambda w: fn(w) * density(w), center=density.center,
+                               scale=scale, rel_tol=rel_tol, points=density.breaks)
+
+
 def _four_quadrature_reference(spec, params, rel_tol=1e-12):
     """(p, dp, <d|d>, <s|d>) as four separate whole-line quadratures, one per
     integrand, with the Lorentzian response written out independently."""
@@ -133,14 +163,10 @@ def _four_quadrature_reference(spec, params, rel_tol=1e-12):
     g = params.coupling
     sg = math.sqrt(g)
     gp = params.gamma_perp
-
-    def f_of(w):
-        return sg / (0.5 * (g + gp) - 1j * (w - params.detuning))
+    f_of = _response(params)
 
     def line(fn):
-        scale = max(density.scale, 0.5 * (1.0 + params.gamma) * g)
-        return integrate_real_line(lambda w: fn(w) * density(w), center=density.center,
-                                   scale=scale, rel_tol=rel_tol, points=density.breaks)
+        return _whole_line(fn, density, params, rel_tol)
 
     p = gp * line(lambda w: np.abs(f_of(w)) ** 2).real
     dp = gp * line(lambda w: np.abs(f_of(w)) ** 2 * (1.0 / g - f_of(w).real / sg)).real
@@ -157,17 +183,55 @@ def _four_quadrature_reference(spec, params, rel_tol=1e-12):
     PulseSpec("exponential", 4.0, "sinusoidal", omega=1.0),
 ], ids=["exp-quadratic+", "exp-quadratic-", "gauss-sinusoidal", "exp-sinusoidal"])
 def test_moment_route_matches_four_quadrature_reference(spec):
-    # families without a closed form, off resonance and lossy
+    # families without a closed form, off resonance and lossy; the chirped
+    # exponential takes its moments from the lag ray, the others from the line
     params = SystemParams(gamma=2.0, delta=0.3)
+    density = spectral_density(spec)
+    assert (density.autocorrelation is not None) == (spec.modulation == "quadratic")
     p, dp, dd, sd = _four_quadrature_reference(spec, params)
     classical = dp * dp / (p * (1.0 - p))
     quantum = 4.0 * dd - 4.0 * abs(sd) ** 2 / (1.0 - p)
     bd = asymptotic_qfi(spec, params)
+    assert asymptotic_qfi(density, params) == bd
     assert bd.p_loss == pytest.approx(p, rel=1e-9)
     assert bd.classical == pytest.approx(classical, rel=1e-9)
     assert bd.quantum == pytest.approx(quantum, rel=1e-9)
     overlap = (sd + 0.5 * dp) / (1.0 - p)
     assert abs(spectral_overlap(spec, params).overlap - overlap) <= 1e-9 * abs(overlap)
+
+
+def _frequency_moments(spec, params, rel_tol=1e-10):
+    """(m_1, m_2) of the chirped exponential as two whole-line quadratures against
+    its closed-form density: the route fisher took before the lag ray."""
+    density = spectral_density(spec)
+    f_of = _response(params)
+    return (_whole_line(f_of, density, params, rel_tol),
+            _whole_line(lambda w: f_of(w) ** 2, density, params, rel_tol))
+
+
+def _rel(x, ref):
+    return abs(x - ref) / abs(ref)
+
+
+def test_ray_moments_match_mpmath_goldens():
+    for (gt, k, gamma, delta), refs in EXPONENTIAL_QUADRATIC_MOMENTS.items():
+        moments = _ray_moments(Autocorrelation(gt, k), SystemParams(gamma=gamma, delta=delta), 1e-10)
+        for m, ref in zip(moments, refs):
+            assert _rel(m, ref) <= 1e-9, (gt, k, gamma, delta)
+
+
+@pytest.mark.parametrize("k", [1.0, -0.7, 0.05, -0.05, 2.0])
+@pytest.mark.parametrize("gt", [0.25, 1.125, 2.0, 8.0])
+def test_ray_moments_match_frequency_route(gt, k):
+    # a detuning of sign opposite to k (sgn(k) Delta < 0) takes the reduced ray angle
+    spec = PulseSpec("exponential", gt, "quadratic", k=k)
+    corr = spectral_density(spec).autocorrelation
+    for gamma in (0.0, 5.0):
+        for delta in (0.0, 1.5, -1.5, -3.0):
+            params = SystemParams(gamma=gamma, delta=delta)
+            ray = _ray_moments(corr, params, 1e-10)
+            for m, ref in zip(ray, _frequency_moments(spec, params)):
+                assert _rel(m, ref) <= 3e-8, (gamma, delta)
 
 
 def test_asymptotic_lossless_has_no_classical_part():
@@ -213,6 +277,31 @@ def test_asymptotic_breakdown_invariants(gamma, delta, gamma_t, envelope):
     assert bd.quantum >= -1e-12
     assert bd.total == pytest.approx(bd.classical + bd.quantum, abs=1e-12)
     assert -1e-12 <= bd.p_loss <= 1.0
+
+
+_MODULATION_PARAMETER = {"linear": "alpha", "quadratic": "k", "sinusoidal": "omega"}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    envelope=st.sampled_from(["gaussian", "exponential"]),
+    modulation=st.sampled_from(["none", "linear", "quadratic", "sinusoidal"]),
+    gamma_t=st.floats(0.5, 3.0),
+    param=st.floats(-1.0, 1.0),
+    gamma=st.floats(0.0, 5.0),
+    delta=st.floats(-1.0, 1.0),
+)
+def test_asymptotic_matches_late_finite_time_total(envelope, modulation, gamma_t, param, gamma,
+                                                   delta):
+    # two independent routes to the late-time information: the spectral moments
+    # (closed-form density quadrature, or the lag ray for the chirped
+    # exponential) and the time-domain solve read at the end of its grid
+    name = _MODULATION_PARAMETER.get(modulation)
+    spec = PulseSpec(envelope, gamma_t, modulation, **({name: param} if name else {}))
+    params = SystemParams(gamma=gamma, delta=delta)
+    late = finite_time_curve(sample_pulse(spec, default_grid(spec)), params).total[-1]
+    total = asymptotic_qfi(spec, params).total
+    assert abs(total - late) / max(abs(late), 0.1) <= 1e-5
 
 
 def test_finite_time_before_pulse_is_zero():
